@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, VocabularyError
+from .errors import ConfigError, DimensionError, FormatError, NumericError, VocabularyError
 from .layers import (
     MhaCache,
     MhaParams,
@@ -211,7 +211,7 @@ def encode_backward(
 # Layout: magic "IEMB", u32 version (=1), u32 B, u32 L, u32 d,
 # u8 label_kind (0 = class index, 1 = multi-label), u32 C, then B labels
 # (u32 each for class indices, C x u8 each for multi-label rows), then
-# B*L*d little-endian float32 values in row-major order.
+# B*L*d finite little-endian float32 values in row-major order.
 
 _EMB_MAGIC = b"IEMB"
 _EMB_VERSION = 1
@@ -219,7 +219,9 @@ _EMB_VERSION = 1
 
 def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
     """Write hidden states and labels; 1-D integer labels are class indices,
-    a 2-D 0/1 matrix is treated as multi-label rows."""
+    a 2-D 0/1 matrix is treated as multi-label rows. The payload is float32:
+    non-finite values and values beyond float32 range raise
+    :class:`~inceptive.errors.NumericError` and nothing is written."""
     h = np.asarray(h, dtype=np.float64)
     labels = np.asarray(labels)
     if h.ndim != 3:
@@ -230,6 +232,14 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         raise DimensionError(f"multi-label matrix {labels.shape} vs ({b}, {n_classes})")
     if not multilabel and labels.shape != (b,):
         raise DimensionError(f"label vector {labels.shape} vs ({b},)")
+    with np.errstate(over="ignore"):
+        payload = h.astype("<f4")
+    finite = np.isfinite(payload)
+    if not finite.all():
+        bad = np.unravel_index(int(np.argmin(finite)), h.shape)
+        raise NumericError(
+            f"hidden state {tuple(map(int, bad))} = {float(h[bad])} is not a finite float32"
+        )
     blob = _EMB_MAGIC + struct.pack(
         "<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes
     )
@@ -237,7 +247,7 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         blob += labels.astype(np.uint8).tobytes(order="C")
     else:
         blob += labels.astype("<u4").tobytes(order="C")
-    blob += h.astype("<f4").tobytes(order="C")
+    blob += payload.tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -246,7 +256,8 @@ def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse an embedding file; returns (hidden states, labels).
 
     The tensor is float64 in memory but carries no gradient: it enters the
-    pipeline as a frozen input.
+    pipeline as a frozen input. A non-finite payload value raises
+    :class:`~inceptive.errors.FormatError` at its byte offset.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -282,8 +293,11 @@ def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
         raise FormatError(
             f"truncated payload: need {4 * count} bytes, have {len(buf) - off}", off
         )
-    h = np.frombuffer(buf, dtype="<f4", count=count, offset=off).astype(np.float64)
-    off += 4 * count
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes", off)
-    return h.reshape(b, length, d), labels
+    if len(buf) != off + 4 * count:
+        raise FormatError(f"{len(buf) - off - 4 * count} trailing bytes", off + 4 * count)
+    payload = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
+    finite = np.isfinite(payload)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FormatError(f"non-finite hidden state {float(payload[bad])} in payload", off + 4 * bad)
+    return payload.astype(np.float64).reshape(b, length, d), labels

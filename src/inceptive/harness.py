@@ -126,11 +126,17 @@ def load_config(path) -> RunSettings:
     return RunSettings(model, encoder, TrainConfig(**train_kwargs), paths)
 
 
+_SPLITS = ("train", "val", "test")
+
+
 @dataclass
 class DataBundle:
-    train: tuple[np.ndarray, np.ndarray]
-    val: tuple[np.ndarray, np.ndarray]
-    test: tuple[np.ndarray, np.ndarray]
+    """Encoded ``(inputs, labels)`` per split; a split that was not asked
+    for is ``None``."""
+
+    train: tuple[np.ndarray, np.ndarray] | None
+    val: tuple[np.ndarray, np.ndarray] | None
+    test: tuple[np.ndarray, np.ndarray] | None
     vocab: dict[str, int] | None = None
 
     @property
@@ -138,25 +144,27 @@ class DataBundle:
         return self.vocab is None
 
 
-def load_data(settings: RunSettings) -> DataBundle:
+def load_data(settings: RunSettings, splits: tuple[str, ...] = _SPLITS) -> DataBundle:
+    """Read and encode the named splits (all three by default), plus the
+    vocabulary in token mode."""
     n_classes = settings.model["n_classes"]
     multilabel = settings.multilabel
+    parts = dict.fromkeys(_SPLITS)
     if settings.embeddings_mode:
-        parts = []
-        for key in ("train_embeddings", "val_embeddings", "test_embeddings"):
-            h, labels = load_embeddings(settings.paths[key])
+        for split in splits:
+            path = settings.paths[f"{split}_embeddings"]
+            h, labels = load_embeddings(path)
             if h.shape[2] != settings.model["d"]:
                 raise DimensionError(
-                    f"{settings.paths[key]}: embedding width {h.shape[2]} vs configured d={settings.model['d']}"
+                    f"{path}: embedding width {h.shape[2]} vs configured d={settings.model['d']}"
                 )
-            parts.append((h, labels))
-        return DataBundle(*parts)
+            parts[split] = (h, labels)
+        return DataBundle(**parts)
     vocab = load_vocab(settings.paths["vocab_path"])
-    parts = []
-    for key in ("train_path", "val_path", "test_path"):
-        records = load_dataset(settings.paths[key], n_classes, multilabel)
-        parts.append(encode_batch(records, vocab, settings.train.seq_len, n_classes, multilabel))
-    return DataBundle(*parts, vocab=vocab)
+    for split in splits:
+        records = load_dataset(settings.paths[f"{split}_path"], n_classes, multilabel)
+        parts[split] = encode_batch(records, vocab, settings.train.seq_len, n_classes, multilabel)
+    return DataBundle(**parts, vocab=vocab)
 
 
 def build_model(settings: RunSettings, bundle: DataBundle, kind: str, variant: str, rng: Rng):
@@ -277,7 +285,7 @@ def run_eval(
     settings: RunSettings, kind: str, variant: str, checkpoint: str, out_dir: str | None = None
 ) -> dict:
     """Test-set metrics for a trained checkpoint."""
-    bundle = load_data(settings)
+    bundle = load_data(settings, ("test",))
     model = _restore(settings, bundle, kind, variant, checkpoint)
     metrics, infer_time = evaluate(model, bundle.test, settings.train)
     payload = {"test": metrics, "timing": {"inference_seconds": infer_time}}
@@ -298,7 +306,7 @@ def run_attnmap(
     """Export received-attention profiles for the first test examples: one
     ``position,received`` CSV per example, a grayscale heatmap with one row
     per example, and a summary with per-example entropy."""
-    bundle = load_data(settings)
+    bundle = load_data(settings, ("test",))
     model = _restore(settings, bundle, kind, variant, checkpoint)
     model.set_mode(False)
     inputs = bundle.test[0][:limit]

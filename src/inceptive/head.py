@@ -32,8 +32,8 @@ from .layers import (
     layer_norm_backward,
     linear,
     linear_backward,
-    mha_backward,
     mha_forward,
+    mha_mean_backward,
     relu,
     relu_backward,
 )
@@ -424,8 +424,6 @@ def head_backward(
         dpooled, dwc, dbc = linear_backward(store.value(prefix + "classifier.weight"), hp.pooled, dlogits)
     store.add_grad(prefix + "classifier.weight", dwc)
     store.add_grad(prefix + "classifier.bias", dbc)
-    length = hp.r.shape[1]
-    dpool_in = np.broadcast_to(dpooled[:, None, :] / length, hp.r.shape).copy()
     if cfg.has_attention:
         params = MhaParams(
             store.value(prefix + "attn.w_q"),
@@ -433,13 +431,13 @@ def head_backward(
             store.value(prefix + "attn.w_v"),
             store.value(prefix + "attn.w_o"),
         )
-        dr, grads = mha_backward(params, hp.mha, dpool_in)
+        dr, grads = mha_mean_backward(params, hp.mha, dpooled)
         store.add_grad(prefix + "attn.w_q", grads.w_q)
         store.add_grad(prefix + "attn.w_k", grads.w_k)
         store.add_grad(prefix + "attn.w_v", grads.w_v)
         store.add_grad(prefix + "attn.w_o", grads.w_o)
     else:
-        dr = dpool_in
+        dr = np.broadcast_to(dpooled[:, None, :] / hp.r.shape[1], hp.r.shape)
     dh_dropped = dr[..., : cfg.d].copy()
     dc_map = dr[..., cfg.d :]
     dh_dropped += inception_backward(cfg, store, state, hp.h_dropped, hp.inception, dc_map, prefix)

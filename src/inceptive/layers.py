@@ -41,6 +41,7 @@ __all__ = [
     "MhaParams",
     "mha_forward",
     "mha_backward",
+    "mha_mean_backward",
 ]
 
 SUPPORTED_KERNELS = (2, 3, 5, 7)
@@ -80,18 +81,30 @@ def conv_branch(kernel_size: int, weight: np.ndarray, bias: np.ndarray) -> ConvB
     return ConvBranch(kernel_size, weight, bias, *pads)
 
 
-def _padded(branch: ConvBranch, h: np.ndarray) -> np.ndarray:
-    b, length, d = h.shape
-    out = np.zeros((b, length + branch.kernel_size - 1, d))
-    out[:, branch.pad_left : branch.pad_left + length, :] = h
-    return out
+def _tap_rows(branch: ConvBranch, length: int):
+    """For each kernel tap j, the output rows ``lo:hi`` it reaches and the
+    input shift ``s``: output row ``i`` reads input row ``i + s``. Taps that
+    fall wholly in the padding are skipped."""
+    for j in range(branch.kernel_size):
+        s = j - branch.pad_left
+        lo, hi = max(0, -s), min(length, length - s)
+        if lo < hi:
+            yield j, s, lo, hi
+
+
+def _tap_major(branch: ConvBranch) -> np.ndarray:
+    """``(c, k, d)`` weight as a ``(k * c, d)`` matrix, tap-major rows."""
+    c, k, d = branch.weight.shape
+    return branch.weight.transpose(1, 0, 2).reshape(k * c, d)
 
 
 def conv1d_forward(branch: ConvBranch, h: np.ndarray) -> np.ndarray:
     """Slide each filter over the token axis: ``y[b,i,f]`` is the sum over
     kernel offsets j of ``weight[f,j,:] . h_padded[b,i+j,:]`` plus bias.
 
-    Output is ``B x L x c`` with L identical to the input length.
+    Output is ``B x L x c`` with L identical to the input length. All taps
+    come from one GEMM, ``(B*L, d) @ (d, k*c)``; each tap's slice is then
+    added to the output shifted by its offset (the kn2row form).
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 3:
@@ -100,30 +113,34 @@ def conv1d_forward(branch: ConvBranch, h: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"feature dim mismatch: input {h.shape[2]} vs filter {branch.weight.shape[2]}"
         )
-    padded = _padded(branch, h)
-    length = h.shape[1]
-    y = np.broadcast_to(branch.bias, (h.shape[0], length, branch.weight.shape[0])).copy()
-    for j in range(branch.kernel_size):
-        y += padded[:, j : j + length, :] @ branch.weight[:, j, :].T
+    b, length, d = h.shape
+    c, k, _ = branch.weight.shape
+    taps = (h.reshape(b * length, d) @ _tap_major(branch).T).reshape(b, length, k, c)
+    y = np.broadcast_to(branch.bias, (b, length, c)).copy()
+    for j, s, lo, hi in _tap_rows(branch, length):
+        y[:, lo:hi, :] += taps[:, lo + s : hi + s, j, :]
     return y
 
 
 def conv1d_backward(
     branch: ConvBranch, h: np.ndarray, dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjoint of :func:`conv1d_forward`; padding positions get no input grad."""
+    """Adjoint of :func:`conv1d_forward`; padding positions get no input grad.
+
+    ``dy`` is scattered into the per-tap layout of the forward's GEMM, so
+    the weight and input gradients are one product each.
+    """
     h = np.asarray(h, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
-    length = h.shape[1]
-    padded = _padded(branch, h)
-    dpadded = np.zeros_like(padded)
-    dweight = np.zeros_like(branch.weight)
-    for j in range(branch.kernel_size):
-        window = padded[:, j : j + length, :]
-        dweight[:, j, :] = np.tensordot(dy, window, axes=((0, 1), (0, 1)))
-        dpadded[:, j : j + length, :] += dy @ branch.weight[:, j, :]
+    b, length, d = h.shape
+    c, k, _ = branch.weight.shape
+    dtaps = np.zeros((b, length, k, c))
+    for j, s, lo, hi in _tap_rows(branch, length):
+        dtaps[:, lo + s : hi + s, j, :] = dy[:, lo:hi, :]
+    dtaps = dtaps.reshape(b * length, k * c)
+    dweight = (dtaps.T @ h.reshape(b * length, d)).reshape(k, c, d).transpose(1, 0, 2)
+    dh = (dtaps @ _tap_major(branch)).reshape(b, length, d)
     dbias = dy.sum(axis=(0, 1))
-    dh = dpadded[:, branch.pad_left : branch.pad_left + length, :]
     return dh, dweight, dbias
 
 
@@ -384,6 +401,17 @@ def _project_heads(x2: np.ndarray, w: np.ndarray, b: int, length: int) -> np.nda
     return flat.reshape(b, length, h, d_head).transpose(0, 2, 1, 3)
 
 
+def _project_heads_backward(
+    x2: np.ndarray, w: np.ndarray, dproj: np.ndarray, dx2: np.ndarray
+) -> np.ndarray:
+    """Adjoint of :func:`_project_heads`: adds the input gradient into
+    ``dx2`` (``B*L x d_in``) and returns the weight gradient."""
+    h, d_in, d_head = w.shape
+    flat = dproj.transpose(0, 2, 1, 3).reshape(x2.shape[0], h * d_head)
+    dx2 += flat @ w.transpose(1, 0, 2).reshape(d_in, h * d_head).T
+    return (x2.T @ flat).reshape(d_in, h, d_head).transpose(1, 0, 2)
+
+
 def mha_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaCache]:
     """Multi-head self-attention over ``B x L x d_in``; heads run scaled
     dot-product attention independently, then concatenate and project."""
@@ -413,11 +441,44 @@ def mha_backward(
     dq, dk, dv = sdpa_backward(cache.q, cache.k, cache.v, cache.weights, dout)
     x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros_like(x2)
-    grads = []
-    for dproj, w in ((dq, params.w_q), (dk, params.w_k), (dv, params.w_v)):
-        flat = dproj.transpose(0, 2, 1, 3).reshape(b * length, h * d_head)
-        w2 = w.transpose(1, 0, 2).reshape(d_in, h * d_head)
-        grads.append((x2.T @ flat).reshape(d_in, h, d_head).transpose(1, 0, 2))
-        dx2 += flat @ w2.T
+    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2)
+    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2)
+    dw_v = _project_heads_backward(x2, params.w_v, dv, dx2)
+    return dx2.reshape(b, length, d_in), MhaParams(dw_q, dw_k, dw_v, dw_o)
+
+
+def mha_mean_backward(
+    params: MhaParams, cache: MhaCache, dpooled: np.ndarray
+) -> tuple[np.ndarray, MhaParams]:
+    """Adjoint of ``mha_forward(params, x)[0].mean(axis=1)`` given the pooled
+    gradient ``dpooled`` (``B x d_out``).
+
+    Every query position receives the same output gradient ``g``. So the
+    value path and the weight-row gradient collapse to per-example
+    ``(B, h, .)`` vectors through the column sums of the weight rows, and
+    only the query and key gradients need ``L x L`` and full-size products.
+    Exact: it equals :func:`mha_backward` fed ``dpooled / L`` at every
+    position.
+    """
+    h, d_in, d_head = params.w_q.shape
+    b, length, _ = cache.merged.shape
+    weights = cache.weights  # (B, h, L, L)
+    dw_o = cache.merged.mean(axis=1).T @ dpooled
+    g = (dpooled @ params.w_o.T / length).reshape(b, h, d_head)
+    # value path: dv[b,h,j] = colsum[b,h,j] * g[b,h]
+    colsum = weights.sum(axis=2)  # (B, h, L)
+    # weight rows: dweights[b,h,i,j] = g[b,h] . v[b,h,j] = u[b,h,j], the same for every row i
+    u = (cache.v @ g[..., None])[..., 0]
+    dscores = weights * (u[:, :, None, :] - (weights @ u[..., None]))
+    dscores /= np.sqrt(d_head)
+    dq = dscores @ cache.k
+    dk = dscores.swapaxes(-1, -2) @ cache.q
+    x2 = cache.x.reshape(b * length, d_in)
+    dx2 = np.zeros_like(x2)
+    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2)
+    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2)
     dx = dx2.reshape(b, length, d_in)
-    return dx, MhaParams(grads[0], grads[1], grads[2], dw_o)
+    g_heads = g.transpose(1, 0, 2)  # (h, B, d_head)
+    dx += colsum.swapaxes(1, 2) @ (g_heads @ params.w_v.transpose(0, 2, 1)).swapaxes(0, 1)
+    dw_v = (colsum @ cache.x).transpose(1, 2, 0) @ g_heads
+    return dx, MhaParams(dw_q, dw_k, dw_v, dw_o)

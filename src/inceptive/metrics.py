@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, InputError, UndefinedMetricError
+from .errors import DegenerateSampleError, InputError, NumericError, UndefinedMetricError
 
 __all__ = [
     "PredictionSet",
@@ -47,6 +47,8 @@ class PredictionSet:
         truths = np.asarray(truths)
         if scores.ndim != 2 or scores.shape[0] == 0:
             raise InputError(f"scores must be a non-empty B x C array, got {scores.shape}")
+        if not np.isfinite(scores).all():
+            raise NumericError("scores contain non-finite values")
         if scores.min() < -1e-9 or scores.max() > 1 + 1e-9:
             raise InputError("scores must lie in [0, 1]")
         if multilabel:

@@ -138,13 +138,6 @@ class ParamStore:
     def add_grad(self, name: str, g: np.ndarray) -> None:
         self._entries[name].grad += g
 
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, p in self._entries.items():
-            out.add(name, p.value.copy())
-            out._entries[name].grad[...] = p.grad
-        return out
-
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Overwrite parameter values in place; names and shapes must match."""
         missing = set(self._entries) - set(values)

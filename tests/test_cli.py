@@ -211,6 +211,15 @@ class TestEmbeddingsMode:
         report = json.loads((out / "run_00.json").read_text())
         assert "accuracy" in report["test"]
 
+        # eval and attnmap read only the test split
+        (tmp_path / "train.iemb").unlink()
+        (tmp_path / "val.iemb").unlink()
+        ckpt = str(out / "run_00.ckpt")
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt, "--out", str(out)]) == 0
+        assert "accuracy" in json.loads((out / "eval.json").read_text())["test"]
+        assert main(["attnmap", "--config", str(cfg_path), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "maps")]) == 0
+
     def test_embedding_width_must_match_config(self, tmp_path):
         from inceptive.encoder import save_embeddings
         from inceptive.tensor import Rng

@@ -12,7 +12,7 @@ from inceptive.encoder import (
     load_embeddings,
     save_embeddings,
 )
-from inceptive.errors import ConfigError, FormatError, VocabularyError
+from inceptive.errors import ConfigError, FormatError, NumericError, VocabularyError
 from inceptive.tensor import Rng, grad_check
 
 
@@ -139,6 +139,29 @@ class TestEmbeddingFile:
         path.write_bytes(b"NOPE" + b"\x00" * 30)
         with pytest.raises(FormatError, match="offset 0"):
             load_embeddings(path)
+
+    def test_save_rejects_values_float32_cannot_hold(self, tmp_path):
+        path = tmp_path / "e.iemb"
+        for bad in (np.nan, np.inf, -np.inf, 1e300, -1e39):
+            h = np.ones((2, 3, 4))
+            h[1, 2, 0] = bad
+            with pytest.raises(NumericError, match=r"\(1, 2, 0\)"):
+                save_embeddings(path, h, np.array([0, 1]), n_classes=2)
+            assert not path.exists()
+        edge = np.full((1, 1, 2), float(np.finfo(np.float32).max))
+        save_embeddings(path, edge, np.array([0]), n_classes=2)
+        assert np.isfinite(load_embeddings(path)[0]).all()
+
+    def test_load_rejects_non_finite_payload_at_its_offset(self, tmp_path):
+        path = tmp_path / "e.iemb"
+        save_embeddings(path, np.ones((2, 4, 3)), np.array([0, 1]), n_classes=2)
+        blob = path.read_bytes()
+        payload_at = 4 + 21 + 4 * 2  # magic, header, two class indices
+        at = payload_at + 4 * 17  # hidden state (1, 1, 2)
+        for bad in (np.nan, np.inf, -np.inf):
+            path.write_bytes(blob[:at] + np.float32(bad).tobytes() + blob[at + 4 :])
+            with pytest.raises(FormatError, match=f"offset {at}\\)"):
+                load_embeddings(path)
 
     def test_wide_hidden_states_accepted(self, tmp_path):
         path = tmp_path / "e.iemb"

@@ -19,6 +19,7 @@ from inceptive.layers import (
     linear_backward,
     mha_backward,
     mha_forward,
+    mha_mean_backward,
     relu,
     relu_backward,
     scaled_dot_product_attention,
@@ -107,27 +108,30 @@ class TestConv1d:
         assert db[0] == 1.0
 
     def test_backward_matches_finite_differences(self):
+        # At L <= 2 the wider kernels have taps lying wholly in the padding.
         rng = Rng(17)
-        weight = rng.normal((3, 2, 4))
-        bias = rng.normal(3)
-        h = rng.normal((2, 6, 4))
-        proj = rng.normal((2, 6, 3))  # fixed cotangent direction
+        for k in (2, 3, 5, 7):
+            for length in (1, 2, 6):
+                weight = rng.normal((3, k, 4))
+                bias = rng.normal(3)
+                h = rng.normal((2, length, 4))
+                proj = rng.normal((2, length, 3))  # fixed cotangent direction
 
-        store = ParamStore()
-        store.add("w", weight)
-        store.add("b", bias)
-        store.add("h", h)
+                store = ParamStore()
+                store.add("w", weight)
+                store.add("b", bias)
+                store.add("h", h)
 
-        def f(params):
-            branch = conv_branch(2, params.value("w"), params.value("b"))
-            return float((conv1d_forward(branch, params.value("h")) * proj).sum())
+                def f(params):
+                    branch = conv_branch(k, params.value("w"), params.value("b"))
+                    return float((conv1d_forward(branch, params.value("h")) * proj).sum())
 
-        branch = conv_branch(2, weight, bias)
-        dh, dw, db = conv1d_backward(branch, h, proj)
-        store.grad("w")[...] = dw
-        store.grad("b")[...] = db
-        store.grad("h")[...] = dh
-        assert grad_check(f, store, 1e-5) < 1e-5
+                branch = conv_branch(k, weight, bias)
+                dh, dw, db = conv1d_backward(branch, h, proj)
+                store.grad("w")[...] = dw
+                store.grad("b")[...] = db
+                store.grad("h")[...] = dh
+                assert grad_check(f, store, 1e-5) < 1e-5, (k, length)
 
 
 class TestBatchNorm:
@@ -421,6 +425,59 @@ class TestMultiHead:
 
         out, cache = mha_forward(params, x)
         dx, grads = mha_backward(params, cache, proj)
+        store.grad("wq")[...] = grads.w_q
+        store.grad("wk")[...] = grads.w_k
+        store.grad("wv")[...] = grads.w_v
+        store.grad("wo")[...] = grads.w_o
+        store.grad("x")[...] = dx
+        assert grad_check(f, store, 1e-5) < 1e-5
+
+
+def _mha_case(rng, b, length, d_in, h, dh):
+    params = MhaParams(
+        rng.normal((h, d_in, dh)),
+        rng.normal((h, d_in, dh)),
+        rng.normal((h, d_in, dh)),
+        rng.normal((h * dh, d_in)),
+    )
+    return params, rng.normal((b, length, d_in))
+
+
+class TestMhaMeanBackward:
+    def test_matches_mha_backward_on_broadcast_gradient(self):
+        rng = Rng(91)
+        for b, length, d_in, h, dh in ((2, 3, 4, 2, 2), (3, 1, 5, 2, 3), (2, 9, 6, 3, 4)):
+            params, x = _mha_case(rng, b, length, d_in, h, dh)
+            dpooled = rng.normal((b, d_in))
+            _, cache = mha_forward(params, x)
+            dx, grads = mha_mean_backward(params, cache, dpooled)
+            dy = np.broadcast_to(dpooled[:, None, :] / length, (b, length, d_in)).copy()
+            ref_dx, ref = mha_backward(params, cache, dy)
+            pairs = [(dx, ref_dx)]
+            pairs += [(getattr(grads, n), getattr(ref, n)) for n in ("w_q", "w_k", "w_v", "w_o")]
+            for got, want in pairs:
+                assert got.shape == want.shape
+                scale = max(np.abs(want).max(), 1e-300)
+                assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_matches_finite_differences_through_mean_pool(self):
+        rng = Rng(92)
+        params, x = _mha_case(rng, 2, 4, 4, 2, 2)
+        proj = rng.normal((2, 4))
+        store = ParamStore()
+        store.add("wq", params.w_q)
+        store.add("wk", params.w_k)
+        store.add("wv", params.w_v)
+        store.add("wo", params.w_o)
+        store.add("x", x)
+
+        def f(p):
+            ps = MhaParams(p.value("wq"), p.value("wk"), p.value("wv"), p.value("wo"))
+            out, _ = mha_forward(ps, p.value("x"))
+            return float((out.mean(axis=1) * proj).sum())
+
+        _, cache = mha_forward(params, x)
+        dx, grads = mha_mean_backward(params, cache, proj)
         store.grad("wq")[...] = grads.w_q
         store.grad("wk")[...] = grads.w_k
         store.grad("wv")[...] = grads.w_v

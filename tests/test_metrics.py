@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inceptive.errors import DegenerateSampleError, InputError, UndefinedMetricError
+from inceptive.errors import DegenerateSampleError, InputError, NumericError, UndefinedMetricError
 from inceptive.metrics import (
     PredictionSet,
     accuracy,
@@ -31,6 +31,19 @@ class TestAccuracy:
     def test_binary_half(self):
         pred = make_single([[0.1, 0.9], [0.1, 0.9]], [1, 0])
         assert accuracy(pred) == 0.5
+
+    def test_non_finite_scores_rejected(self):
+        # NaN fails every range comparison, so an all-NaN matrix would
+        # otherwise argmax to class 0 and score as correct.
+        with pytest.raises(NumericError):
+            make_single(np.full((3, 4), np.nan), [0, 0, 0])
+        for bad in (np.nan, np.inf):
+            scores = np.full((2, 2), 0.5)
+            scores[1, 0] = bad
+            with pytest.raises(NumericError):
+                make_single(scores, [0, 1])
+            with pytest.raises(NumericError):
+                make_multi(scores, [[0, 1], [1, 0]])
 
     def test_multilabel_cell_counting(self):
         scores = [[0.9, 0.9, 0.1], [0.9, 0.1, 0.1]]
