@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError
+from .errors import ConfigError, DimensionError, InputError, NumericError
 from .layers import (
     BatchNormState,
     DropoutSpec,
     MhaCache,
+    MhaMeanCache,
     MhaParams,
     batchnorm_apply,
     batchnorm_backward,
@@ -34,6 +35,7 @@ from .layers import (
     linear_backward,
     mha_forward,
     mha_mean_backward,
+    mha_mean_forward,
     relu,
     relu_backward,
 )
@@ -279,23 +281,24 @@ class AttentionMap:
     query positions; one probability row per example."""
 
     received: np.ndarray  # (B, L)
-    weights: np.ndarray | None = None  # (B, h, L, L) raw rows, optional
 
 
-def attention_received(weights: np.ndarray, keep_weights: bool = False) -> AttentionMap:
+def attention_received(weights: np.ndarray) -> AttentionMap:
     """Average probability rows over heads and queries.
 
     Every input row must already sum to 1 (checked to 1e-6); the averaged
-    row then sums to 1 as well.
+    row then sums to 1 as well. Non-finite weights (from non-finite
+    parameters or inputs) raise ``NumericError``.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 4:
         raise DimensionError(f"weights must be B x h x L x L, got {weights.shape}")
     sums = weights.sum(axis=-1)
+    if not np.isfinite(sums).all():
+        raise NumericError("attention weights are not finite")
     if np.abs(sums - 1.0).max() > 1e-6:
         raise InputError("attention rows are not normalized")
-    received = weights.mean(axis=(1, 2))
-    return AttentionMap(received, weights if keep_weights else None)
+    return AttentionMap(weights.mean(axis=(1, 2)))
 
 
 def received_entropy(received: np.ndarray) -> np.ndarray:
@@ -306,19 +309,18 @@ def received_entropy(received: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
+def _mha_params(store: ParamStore, prefix: str) -> MhaParams:
+    return MhaParams(*(store.value(f"{prefix}attn.{name}") for name in ("w_q", "w_k", "w_v", "w_o")))
+
+
 def multi_head_attention(
     cfg: ModelConfig, store: ParamStore, r: np.ndarray, prefix: str = "head."
 ) -> tuple[np.ndarray, AttentionMap, MhaCache]:
-    """Self-attention over the enriched features; also returns the received
-    map computed from the pre-projection weight rows."""
-    params = MhaParams(
-        store.value(prefix + "attn.w_q"),
-        store.value(prefix + "attn.w_k"),
-        store.value(prefix + "attn.w_v"),
-        store.value(prefix + "attn.w_o"),
-    )
-    a, cache = mha_forward(params, r)
-    return a, attention_received(cache.weights, keep_weights=True), cache
+    """Per-position self-attention over the enriched features; also returns
+    the received map computed from the pre-projection weight rows. The head
+    itself only needs the pooled output (:func:`mha_mean_forward`)."""
+    a, cache = mha_forward(_mha_params(store, prefix), r)
+    return a, attention_received(cache.weights), cache
 
 
 def adaptive_avg_pool(a: np.ndarray) -> np.ndarray:
@@ -340,8 +342,7 @@ class HeadPass:
     inception: _InceptionCache
     c_map: np.ndarray
     r: np.ndarray
-    mha: MhaCache | None
-    attended: np.ndarray | None
+    mha: MhaMeanCache | None
     pooled: np.ndarray
     dense_pre: np.ndarray | None  # pre-ReLU dense activation
     dense_out: np.ndarray | None  # post layer-norm dense output
@@ -366,10 +367,11 @@ def head_forward(
     c_map, inc_cache = inception_forward(cfg, store, state, h_dropped, prefix)
     r = enrich(h_dropped, c_map)
     if cfg.has_attention:
-        attended, amap, mha_cache = multi_head_attention(cfg, store, r, prefix)
-        pooled = adaptive_avg_pool(attended)
+        # attention then mean pool, without the per-position attention output
+        pooled, mha_cache = mha_mean_forward(_mha_params(store, prefix), r)
+        amap = attention_received(mha_cache.weights)
     else:
-        attended, amap, mha_cache = None, None, None
+        amap, mha_cache = None, None
         pooled = adaptive_avg_pool(r)
     if cfg.has_dense:
         dense_pre = linear(store.value(prefix + "dense.weight"), store.value(prefix + "dense.bias"), pooled)
@@ -384,7 +386,7 @@ def head_forward(
         cls_in = pooled
     logits = linear(store.value(prefix + "classifier.weight"), store.value(prefix + "classifier.bias"), cls_in)
     return HeadPass(
-        h, mask, h_dropped, inc_cache, c_map, r, mha_cache, attended, pooled, dense_pre, dense_out, logits, amap
+        h, mask, h_dropped, inc_cache, c_map, r, mha_cache, pooled, dense_pre, dense_out, logits, amap
     )
 
 
@@ -425,13 +427,7 @@ def head_backward(
     store.add_grad(prefix + "classifier.weight", dwc)
     store.add_grad(prefix + "classifier.bias", dbc)
     if cfg.has_attention:
-        params = MhaParams(
-            store.value(prefix + "attn.w_q"),
-            store.value(prefix + "attn.w_k"),
-            store.value(prefix + "attn.w_v"),
-            store.value(prefix + "attn.w_o"),
-        )
-        dr, grads = mha_mean_backward(params, hp.mha, dpooled)
+        dr, grads = mha_mean_backward(_mha_params(store, prefix), hp.mha, dpooled)
         store.add_grad(prefix + "attn.w_q", grads.w_q)
         store.add_grad(prefix + "attn.w_k", grads.w_k)
         store.add_grad(prefix + "attn.w_v", grads.w_v)
@@ -516,8 +512,9 @@ def shape_probe(cfg: ModelConfig, batch: int = 2, length: int = 8, seed: int = 0
         "pooled": hp.pooled.shape,
         "logits": hp.logits.shape,
     }
-    if hp.attended is not None:
-        shapes["attended"] = hp.attended.shape
+    if cfg.has_attention:
+        # the head pools attention without forming it; the per-position form shows its shape
+        shapes["attended"] = multi_head_attention(cfg, store, hp.r)[0].shape
     if hp.dense_out is not None:
         shapes["dense"] = hp.dense_out.shape
     return shapes

@@ -41,6 +41,8 @@ __all__ = [
     "MhaParams",
     "mha_forward",
     "mha_backward",
+    "MhaMeanCache",
+    "mha_mean_forward",
     "mha_mean_backward",
 ]
 
@@ -447,11 +449,51 @@ def mha_backward(
     return dx2.reshape(b, length, d_in), MhaParams(dw_q, dw_k, dw_v, dw_o)
 
 
+@dataclass
+class MhaMeanCache:
+    x: np.ndarray
+    q: np.ndarray
+    k: np.ndarray
+    weights: np.ndarray  # (B, h, L, L)
+    colsum: np.ndarray  # (B, h, L), weight-row column sums
+    merged_mean: np.ndarray  # (B, h * d_head), L-mean of the merged heads
+
+
+def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaMeanCache]:
+    """``mha_forward(params, x)[0].mean(axis=1)``, without the per-position
+    output.
+
+    The mean over query positions of ``sum_j W[i,j] (x_j W_v)`` is
+    ``(sum_j (colsum_j / L) x_j) W_v``, with ``colsum`` the column sums of
+    the weight rows. So the values, the attended rows and the full-size
+    output projection are never formed: each head's value projection and
+    the output projection act on one ``(B, .)`` row per example. The weight
+    rows are bitwise those of :func:`mha_forward`.
+    """
+    h, d_in, d_head = params.w_q.shape
+    if x.shape[-1] != d_in:
+        raise DimensionError(f"attention input dim {x.shape[-1]} vs projections {params.w_q.shape}")
+    b, length, _ = x.shape
+    x2 = x.reshape(b * length, d_in)
+    q = _project_heads(x2, params.w_q, b, length)
+    k = _project_heads(x2, params.w_k, b, length)
+    # scores, then softmax rows, in place on one (B, h, L, L) buffer
+    weights = q @ k.swapaxes(-1, -2)
+    weights /= np.sqrt(d_head)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    colsum = weights.sum(axis=2)
+    xbar = (colsum / length) @ x  # (B, h, d_in)
+    merged_mean = (xbar.transpose(1, 0, 2) @ params.w_v).transpose(1, 0, 2).reshape(b, h * d_head)
+    return merged_mean @ params.w_o, MhaMeanCache(x, q, k, weights, colsum, merged_mean)
+
+
 def mha_mean_backward(
-    params: MhaParams, cache: MhaCache, dpooled: np.ndarray
+    params: MhaParams, cache: MhaMeanCache, dpooled: np.ndarray
 ) -> tuple[np.ndarray, MhaParams]:
-    """Adjoint of ``mha_forward(params, x)[0].mean(axis=1)`` given the pooled
-    gradient ``dpooled`` (``B x d_out``).
+    """Adjoint of :func:`mha_mean_forward` given the pooled gradient
+    ``dpooled`` (``B x d_out``).
 
     Every query position receives the same output gradient ``g``. So the
     value path and the weight-row gradient collapse to per-example
@@ -461,14 +503,15 @@ def mha_mean_backward(
     position.
     """
     h, d_in, d_head = params.w_q.shape
-    b, length, _ = cache.merged.shape
-    weights = cache.weights  # (B, h, L, L)
-    dw_o = cache.merged.mean(axis=1).T @ dpooled
-    g = (dpooled @ params.w_o.T / length).reshape(b, h, d_head)
-    # value path: dv[b,h,j] = colsum[b,h,j] * g[b,h]
-    colsum = weights.sum(axis=2)  # (B, h, L)
-    # weight rows: dweights[b,h,i,j] = g[b,h] . v[b,h,j] = u[b,h,j], the same for every row i
-    u = (cache.v @ g[..., None])[..., 0]
+    b, length, _ = cache.x.shape
+    weights, colsum = cache.weights, cache.colsum
+    dw_o = cache.merged_mean.T @ dpooled
+    g_heads = (dpooled @ params.w_o.T / length).reshape(b, h, d_head).transpose(1, 0, 2)  # (h, B, d_head)
+    # wg[b,h] = W_v[h] g[b,h]: the value gradient dv[b,h,j] = colsum[b,h,j] g[b,h] seen from x
+    wg = (g_heads @ params.w_v.transpose(0, 2, 1)).swapaxes(0, 1)  # (B, h, d_in)
+    # weight rows: dweights[b,h,i,j] = g[b,h] . v[b,h,j] = x[b,j] . wg[b,h] = u[b,h,j],
+    # the same for every row i
+    u = wg @ cache.x.swapaxes(1, 2)  # (B, h, L)
     dscores = weights * (u[:, :, None, :] - (weights @ u[..., None]))
     dscores /= np.sqrt(d_head)
     dq = dscores @ cache.k
@@ -478,7 +521,6 @@ def mha_mean_backward(
     dw_q = _project_heads_backward(x2, params.w_q, dq, dx2)
     dw_k = _project_heads_backward(x2, params.w_k, dk, dx2)
     dx = dx2.reshape(b, length, d_in)
-    g_heads = g.transpose(1, 0, 2)  # (h, B, d_head)
-    dx += colsum.swapaxes(1, 2) @ (g_heads @ params.w_v.transpose(0, 2, 1)).swapaxes(0, 1)
+    dx += colsum.swapaxes(1, 2) @ wg
     dw_v = (colsum @ cache.x).transpose(1, 2, 0) @ g_heads
     return dx, MhaParams(dw_q, dw_k, dw_v, dw_o)

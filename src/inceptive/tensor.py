@@ -271,7 +271,11 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 
 def tensor_from_bytes(buf: bytes, base_offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one tensor record; returns (array, bytes consumed)."""
+    """Parse one tensor record; returns (array, bytes consumed).
+
+    A non-finite payload value raises ``FormatError`` at its byte offset;
+    the scan runs on the float32 view, before widening.
+    """
     off = 0
     if buf[off : off + 4] != _MAGIC:
         raise FormatError("bad tensor magic", base_offset + off)
@@ -294,6 +298,10 @@ def tensor_from_bytes(buf: bytes, base_offset: int = 0) -> tuple[np.ndarray, int
             base_offset + off,
         )
     data = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise FormatError(f"non-finite value {float(data[bad])} in payload", base_offset + off + 4 * bad)
     off += need
     return data.astype(np.float64).reshape(shape), off
 

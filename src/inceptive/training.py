@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, LabelError, NumericError, UndefinedMetricError
+from .layers import softmax_rows
 from .metrics import PredictionSet, accuracy, average_precision, precision_recall_f1, roc_auc
 from .tensor import ParamStore, Rng, clip_global_norm
 
@@ -75,9 +76,10 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
     if targets.min() < 0 or targets.max() >= c:
         raise LabelError(f"target index out of range for {c} classes")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float((log_z - shifted[np.arange(b), targets]).mean())
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    loss = float((np.log(z[:, 0]) - shifted[np.arange(b), targets]).mean())
+    probs = e / z
     probs[np.arange(b), targets] -= 1.0
     return loss, probs / b
 
@@ -119,9 +121,7 @@ def task_scores(task: str, logits: np.ndarray) -> np.ndarray:
     """Probabilities from logits: softmax rows for multi-class, elementwise
     sigmoid otherwise."""
     if task == "multi-class":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax_rows(logits)
     return sigmoid(logits)
 
 
@@ -156,6 +156,11 @@ def adamw_step(
 
     ``no_decay`` names parameters exempt from the decay term (the training
     loop passes every vector-shaped parameter: biases and norm scales).
+
+    Per parameter, with ``m_hat = m / (1 - b1^t)`` and ``v_hat = v / (1 - b2^t)``:
+    ``value -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * value``.
+    It runs in place on two scratch buffers, in the operation order of
+    that formula, so the result is bitwise the formula's.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -167,11 +172,22 @@ def adamw_step(
             raise NumericError(f"NaN gradient in {name}")
         m = state.m[name]
         v = state.v[name]
-        m[...] = b1 * m + (1 - b1) * g
-        v[...] = b2 * v + (1 - b2) * g * g
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        update = np.multiply(g, 1 - b1)
+        m *= b1
+        m += update
+        np.multiply(g, 1 - b2, out=update)
+        update *= g
+        v *= b2
+        v += update
+        np.divide(m, bias1, out=update)
+        update *= lr
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update /= denom
         if weight_decay and name not in no_decay:
-            update = update + lr * weight_decay * p.value
+            np.multiply(p.value, lr * weight_decay, out=denom)
+            update += denom
         p.value -= update
 
 

@@ -7,6 +7,7 @@ import pytest
 from inceptive.cli import main
 from inceptive.harness import load_config
 from inceptive.errors import ConfigError
+from inceptive.tensor import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,20 @@ class TestEvalAndAttnmap:
         rc = main(["attnmap", "--config", str(bad_path), "--checkpoint", str(out / "run_00.ckpt"),
                    "--out", str(root / "bad_maps")])
         assert rc == 3
+
+    def test_non_finite_checkpoint_is_data_error(self, workspace):
+        root, cfg = workspace
+        out = root / "train_out"
+        if not (out / "run_00.ckpt").exists():
+            assert main(["train", "--config", str(cfg), "--runs", "1", "--out", str(out)]) == 0
+        tensors = load_checkpoint(out / "run_00.ckpt")
+        tensors["head.attn.w_q"][0, 0, 0] = np.nan
+        bad = root / "nan.ckpt"
+        save_checkpoint(bad, tensors)
+        maps = root / "nan_maps"
+        rc = main(["attnmap", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(maps)])
+        assert rc == 3
+        assert not maps.exists()
 
 
 class TestXval:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inceptive.errors import ConfigError, DimensionError, InputError
+from inceptive.errors import ConfigError, DimensionError, InputError, NumericError
 from inceptive.head import (
     ModelConfig,
     adaptive_avg_pool,
@@ -232,6 +232,16 @@ class TestHeadForward:
         assert non_classifier < names_f
         assert store_nd.value("head.classifier.weight").shape[0] == ModelConfig(**TOY).d_r
 
+    @pytest.mark.parametrize("variant", ["full", "no_dense"])
+    def test_pooled_attention_equals_mean_of_per_position_attention(self, variant):
+        cfg, store, state = build(variant)
+        state.set_mode(False)
+        hp = head_forward(cfg, store, state, Rng(15).normal((3, 7, 16)))
+        attended, amap, _ = multi_head_attention(cfg, store, hp.r)
+        want = adaptive_avg_pool(attended)
+        assert np.abs(hp.pooled - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(hp.amap.received, amap.received)
+
     def test_mismatched_variant_store_rejected(self):
         cfg_nd, store_nd, state_nd = build("no_dense")
         cfg_f = ModelConfig(**{**TOY, "variant": "full"})
@@ -319,6 +329,13 @@ class TestAttentionReceived:
     def test_non_normalized_rows_rejected(self):
         w = np.full((1, 1, 2, 2), 0.3)
         with pytest.raises(InputError):
+            attention_received(w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        w = np.full((1, 2, 3, 3), 1.0 / 3)
+        w[0, 1, 2, 0] = bad
+        with pytest.raises(NumericError):
             attention_received(w)
 
     def test_received_sums_to_one(self):

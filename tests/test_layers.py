@@ -20,6 +20,7 @@ from inceptive.layers import (
     mha_backward,
     mha_forward,
     mha_mean_backward,
+    mha_mean_forward,
     relu,
     relu_backward,
     scaled_dot_product_attention,
@@ -443,14 +444,32 @@ def _mha_case(rng, b, length, d_in, h, dh):
     return params, rng.normal((b, length, d_in))
 
 
+# (B, L, d_in, h, d_head): L = 1, h = 1, and h * d_head both below and above d_in
+MEAN_CASES = ((2, 3, 4, 2, 2), (3, 1, 5, 2, 3), (2, 9, 6, 3, 4), (2, 5, 6, 1, 6), (1, 7, 8, 2, 3))
+
+
+class TestMhaMeanForward:
+    def test_matches_mean_of_per_position_attention(self):
+        rng = Rng(90)
+        for b, length, d_in, h, dh in MEAN_CASES:
+            params, x = _mha_case(rng, b, length, d_in, h, dh)
+            pooled, cache = mha_mean_forward(params, x)
+            want, ref = mha_forward(params, x)
+            want = want.mean(axis=1)
+            assert pooled.shape == (b, d_in)
+            assert np.abs(pooled - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(cache.weights, ref.weights)
+
+
 class TestMhaMeanBackward:
     def test_matches_mha_backward_on_broadcast_gradient(self):
         rng = Rng(91)
-        for b, length, d_in, h, dh in ((2, 3, 4, 2, 2), (3, 1, 5, 2, 3), (2, 9, 6, 3, 4)):
+        for b, length, d_in, h, dh in MEAN_CASES:
             params, x = _mha_case(rng, b, length, d_in, h, dh)
             dpooled = rng.normal((b, d_in))
+            _, mean_cache = mha_mean_forward(params, x)
             _, cache = mha_forward(params, x)
-            dx, grads = mha_mean_backward(params, cache, dpooled)
+            dx, grads = mha_mean_backward(params, mean_cache, dpooled)
             dy = np.broadcast_to(dpooled[:, None, :] / length, (b, length, d_in)).copy()
             ref_dx, ref = mha_backward(params, cache, dy)
             pairs = [(dx, ref_dx)]
@@ -473,10 +492,10 @@ class TestMhaMeanBackward:
 
         def f(p):
             ps = MhaParams(p.value("wq"), p.value("wk"), p.value("wv"), p.value("wo"))
-            out, _ = mha_forward(ps, p.value("x"))
-            return float((out.mean(axis=1) * proj).sum())
+            pooled, _ = mha_mean_forward(ps, p.value("x"))
+            return float((pooled * proj).sum())
 
-        _, cache = mha_forward(params, x)
+        _, cache = mha_mean_forward(params, x)
         dx, grads = mha_mean_backward(params, cache, proj)
         store.grad("wq")[...] = grads.w_q
         store.grad("wk")[...] = grads.w_k

@@ -256,6 +256,24 @@ class TestTensorIO:
                 back[name], tensors[name].astype(np.float32).astype(np.float64)
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected_at_its_offset(self, tmp_path, bad):
+        x = np.ones((2, 3))
+        x[1, 1] = bad
+        path = tmp_path / "t.itns"
+        save_tensor(path, x)
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_tensor(path)
+        # header: magic, version, rank, two extents; then element 4 of the payload
+        assert err.value.offset == 4 + 8 + 2 * 8 + 4 * 4
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"a": np.ones(3), "w": x})
+        blob = path.read_bytes()
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_checkpoint(path)
+        # the bad value's bytes sit at the reported offset of the whole file
+        assert not np.isfinite(np.frombuffer(blob, "<f4", 1, err.value.offset)[0])
+
     def test_checkpoint_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"w": np.ones(2)})

@@ -114,6 +114,48 @@ class TestAdamW:
         assert store.value("w")[0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
 
 
+def _adamw_reference(params, state, lr, weight_decay, no_decay):
+    """The update as one expression per line, each allocating its result."""
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    bias1 = 1.0 - b1**state.t
+    bias2 = 1.0 - b2**state.t
+    for name, p in params.items():
+        g = p.grad
+        m = state.m[name]
+        v = state.v[name]
+        m[...] = b1 * m + (1 - b1) * g
+        v[...] = b2 * v + (1 - b2) * g * g
+        update = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        if weight_decay and name not in no_decay:
+            update = update + lr * weight_decay * p.value
+        p.value -= update
+
+
+class TestAdamWInPlace:
+    @pytest.mark.parametrize("no_decay", [frozenset(), frozenset({"b"})])
+    def test_bitwise_equal_to_reference_formula(self, no_decay):
+        rng = Rng(21)
+        stores = []
+        for _ in range(2):
+            store = ParamStore()
+            store.add("w", Rng(22).normal((64, 32)))
+            store.add("b", Rng(23).normal(32))
+            stores.append((store, init_adamw(store)))
+        for step in range(4):
+            grads = {"w": rng.normal((64, 32)), "b": rng.normal(32) * 10.0 ** -step}
+            lr = cosine_lr(step, 4, 0.05, 0.001)
+            for (store, state), update in zip(stores, (adamw_step, _adamw_reference)):
+                for name, g in grads.items():
+                    store.grad(name)[...] = g
+                update(store, state, lr, 0.3, no_decay)
+        (got, got_state), (want, want_state) = stores
+        for name in ("w", "b"):
+            assert np.array_equal(got.value(name), want.value(name))
+            assert np.array_equal(got_state.m[name], want_state.m[name])
+            assert np.array_equal(got_state.v[name], want_state.v[name])
+
+
 class TestCosineLr:
     def test_endpoints(self):
         assert cosine_lr(0, 12, 1e-3) == pytest.approx(1e-3)
