@@ -31,10 +31,7 @@ from .tensor import (
     concat_features,
     grad_check,
     load_checkpoint,
-    load_tensor,
-    matmul,
     save_checkpoint,
-    save_tensor,
 )
 from .training import (
     TrainConfig,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericError, VocabularyError
+from .errors import ConfigError, DimensionError, FormatError, VocabularyError
 from .layers import (
     MhaCache,
     MhaParams,
@@ -24,7 +24,7 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .tensor import ParamStore, Rng, glorot_uniform
+from .tensor import ParamStore, Rng, finite_float32, glorot_uniform
 
 __all__ = [
     "EncoderConfig",
@@ -60,16 +60,14 @@ class EncoderConfig:
         return self.d // self.n_heads
 
 
-def init_encoder_params(
-    cfg: EncoderConfig, rng: Rng, store: ParamStore | None = None, prefix: str = "encoder."
-) -> ParamStore:
+def init_encoder_params(cfg: EncoderConfig, rng: Rng, store: ParamStore | None = None) -> ParamStore:
     """Glorot-uniform weights, unit norm scales, zero biases and shifts."""
     store = store if store is not None else ParamStore()
     d, dh = cfg.d, cfg.head_dim
-    store.add(prefix + "tok_embed", glorot_uniform(rng, (cfg.vocab_size, d), cfg.vocab_size, d))
-    store.add(prefix + "pos_embed", glorot_uniform(rng, (cfg.max_len, d), cfg.max_len, d))
+    store.add("encoder.tok_embed", glorot_uniform(rng, (cfg.vocab_size, d), cfg.vocab_size, d))
+    store.add("encoder.pos_embed", glorot_uniform(rng, (cfg.max_len, d), cfg.max_len, d))
     for i in range(cfg.n_layers):
-        b = f"{prefix}block{i}."
+        b = f"encoder.block{i}."
         store.add(b + "ln1.scale", np.ones(d))
         store.add(b + "ln1.shift", np.zeros(d))
         for name in ("attn.w_q", "attn.w_k", "attn.w_v"):
@@ -84,9 +82,7 @@ def init_encoder_params(
     return store
 
 
-def embed(
-    cfg: EncoderConfig, params: ParamStore, ids: np.ndarray, prefix: str = "encoder."
-) -> np.ndarray:
+def embed(cfg: EncoderConfig, params: ParamStore, ids: np.ndarray) -> np.ndarray:
     """Token lookup plus learned positional embedding, summed; ``B x L x d``."""
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[0] == 0:
@@ -96,22 +92,16 @@ def embed(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         bad = int(ids.max() if ids.max() >= cfg.vocab_size else ids.min())
         raise VocabularyError(f"token id {bad} outside vocabulary of size {cfg.vocab_size}")
-    tok = params.value(prefix + "tok_embed")
-    pos = params.value(prefix + "pos_embed")
+    tok = params.value("encoder.tok_embed")
+    pos = params.value("encoder.pos_embed")
     return tok[ids] + pos[: ids.shape[1]]
 
 
-def embed_backward(
-    cfg: EncoderConfig,
-    params: ParamStore,
-    ids: np.ndarray,
-    dx: np.ndarray,
-    prefix: str = "encoder.",
-) -> None:
+def embed_backward(cfg: EncoderConfig, params: ParamStore, ids: np.ndarray, dx: np.ndarray) -> None:
     """Scatter-add gradients into the embedding tables."""
-    dtok = params.grad(prefix + "tok_embed")
+    dtok = params.grad("encoder.tok_embed")
     np.add.at(dtok, ids, dx)
-    params.grad(prefix + "pos_embed")[: ids.shape[1]] += dx.sum(axis=0)
+    params.grad("encoder.pos_embed")[: ids.shape[1]] += dx.sum(axis=0)
 
 
 @dataclass
@@ -143,13 +133,11 @@ def _block_params(params: ParamStore, b: str) -> MhaParams:
     )
 
 
-def encode_forward(
-    cfg: EncoderConfig, params: ParamStore, x: np.ndarray, prefix: str = "encoder."
-) -> tuple[np.ndarray, EncoderCache]:
+def encode_forward(cfg: EncoderConfig, params: ParamStore, x: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
     """Run the pre-norm block stack; zero layers passes the input through."""
     caches = []
     for i in range(cfg.n_layers):
-        b = f"{prefix}block{i}."
+        b = f"encoder.block{i}."
         x_in = x
         n1 = layer_norm(params.value(b + "ln1.scale"), params.value(b + "ln1.shift"), x_in)
         attn_out, mha_cache = mha_forward(_block_params(params, b), n1)
@@ -162,22 +150,16 @@ def encode_forward(
     return x, EncoderCache(caches)
 
 
-def encode(cfg: EncoderConfig, params: ParamStore, x: np.ndarray, prefix: str = "encoder.") -> np.ndarray:
-    h, _ = encode_forward(cfg, params, x, prefix)
+def encode(cfg: EncoderConfig, params: ParamStore, x: np.ndarray) -> np.ndarray:
+    h, _ = encode_forward(cfg, params, x)
     return h
 
 
-def encode_backward(
-    cfg: EncoderConfig,
-    params: ParamStore,
-    cache: EncoderCache,
-    dh: np.ndarray,
-    prefix: str = "encoder.",
-) -> np.ndarray:
+def encode_backward(cfg: EncoderConfig, params: ParamStore, cache: EncoderCache, dh: np.ndarray) -> np.ndarray:
     """Accumulate parameter gradients and return the input gradient."""
     dx = dh
     for i in reversed(range(cfg.n_layers)):
-        b = f"{prefix}block{i}."
+        b = f"encoder.block{i}."
         blk = cache.blocks[i]
         # feed-forward residual: x = x_mid + ffn(ln2(x_mid))
         n2 = layer_norm(params.value(b + "ln2.scale"), params.value(b + "ln2.shift"), blk.x_mid)
@@ -232,14 +214,7 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         raise DimensionError(f"multi-label matrix {labels.shape} vs ({b}, {n_classes})")
     if not multilabel and labels.shape != (b,):
         raise DimensionError(f"label vector {labels.shape} vs ({b},)")
-    with np.errstate(over="ignore"):
-        payload = h.astype("<f4")
-    finite = np.isfinite(payload)
-    if not finite.all():
-        bad = np.unravel_index(int(np.argmin(finite)), h.shape)
-        raise NumericError(
-            f"hidden state {tuple(map(int, bad))} = {float(h[bad])} is not a finite float32"
-        )
+    payload = finite_float32(h, "hidden state")
     blob = _EMB_MAGIC + struct.pack(
         "<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes
     )

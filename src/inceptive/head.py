@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, InputError, NumericError
 from .layers import (
+    KERNEL_SIZES,
     BatchNormState,
     DropoutSpec,
     MhaCache,
@@ -68,7 +69,6 @@ __all__ = [
     "write_attention_pgm",
 ]
 
-KERNEL_SIZES = (2, 3, 5, 7)
 VARIANTS = ("full", "no_attn", "no_dense")
 TASKS = ("multi-class", "binary", "multi-label")
 
@@ -91,11 +91,8 @@ class ModelConfig:
     task: str = "multi-class"
     dropout_rate: float = 0.1
     variant: str = "full"
-    kernel_sizes: tuple[int, ...] = KERNEL_SIZES
 
     def __post_init__(self):
-        if tuple(self.kernel_sizes) != KERNEL_SIZES:
-            raise ConfigError(f"kernel sizes are fixed at {KERNEL_SIZES}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.variant not in VARIANTS:
@@ -134,9 +131,7 @@ class ModelConfig:
         return self.dense_dim if self.has_dense else self.d_r
 
 
-def init_head_params(
-    cfg: ModelConfig, rng: Rng, store: ParamStore | None = None, prefix: str = "head."
-) -> ParamStore:
+def init_head_params(cfg: ModelConfig, rng: Rng, store: ParamStore | None = None) -> ParamStore:
     """Create exactly the parameters the configured variant uses.
 
     Weights are Glorot-uniform (convolution fans count kernel taps);
@@ -144,57 +139,58 @@ def init_head_params(
     """
     store = store if store is not None else ParamStore()
     d, c = cfg.d, cfg.c
-    for k in cfg.kernel_sizes:
+    for k in KERNEL_SIZES:
         # No conv bias: batch norm follows immediately and its mean
         # subtraction cancels a per-channel constant, so the shift term
         # below carries that role.
-        b = f"{prefix}inception.branch_k{k}."
+        b = _branch_name(k)
         store.add(b + "weight", glorot_uniform(rng, (c, k, d), k * d, k * c))
         store.add(b + "bn.scale", np.ones(c))
         store.add(b + "bn.shift", np.zeros(c))
     if cfg.has_attention:
         h, da = cfg.n_heads, cfg.resolved_head_dim
         for name in ("attn.w_q", "attn.w_k", "attn.w_v"):
-            store.add(prefix + name, glorot_uniform(rng, (h, cfg.d_r, da), cfg.d_r, da))
-        store.add(prefix + "attn.w_o", glorot_uniform(rng, (h * da, cfg.d_r), h * da, cfg.d_r))
+            store.add("head." + name, glorot_uniform(rng, (h, cfg.d_r, da), cfg.d_r, da))
+        store.add("head.attn.w_o", glorot_uniform(rng, (h * da, cfg.d_r), h * da, cfg.d_r))
     if cfg.has_dense:
-        store.add(
-            prefix + "dense.weight", glorot_uniform(rng, (cfg.d_r, cfg.dense_dim), cfg.d_r, cfg.dense_dim)
-        )
-        store.add(prefix + "dense.bias", np.zeros(cfg.dense_dim))
-        store.add(prefix + "dense.ln.scale", np.ones(cfg.dense_dim))
-        store.add(prefix + "dense.ln.shift", np.zeros(cfg.dense_dim))
+        store.add("head.dense.weight", glorot_uniform(rng, (cfg.d_r, cfg.dense_dim), cfg.d_r, cfg.dense_dim))
+        store.add("head.dense.bias", np.zeros(cfg.dense_dim))
+        store.add("head.dense.ln.scale", np.ones(cfg.dense_dim))
+        store.add("head.dense.ln.shift", np.zeros(cfg.dense_dim))
     store.add(
-        prefix + "classifier.weight",
+        "head.classifier.weight",
         glorot_uniform(rng, (cfg.classifier_in, cfg.n_classes), cfg.classifier_in, cfg.n_classes),
     )
-    store.add(prefix + "classifier.bias", np.zeros(cfg.n_classes))
+    store.add("head.classifier.bias", np.zeros(cfg.n_classes))
     return store
 
 
 @dataclass
 class HeadState:
-    """Non-parameter state: batch-norm running statistics per branch and the
-    dropout applied to the incoming hidden states."""
+    """Non-parameter state: batch-norm running statistics over the ``4c``
+    concatenated branch channels and the dropout applied to the incoming
+    hidden states."""
 
-    bn: dict[int, BatchNormState]
+    bn: BatchNormState
     dropout: DropoutSpec
 
     def set_mode(self, train: bool) -> None:
         mode = "train" if train else "eval"
         self.dropout.mode = mode
-        for state in self.bn.values():
-            state.mode = mode
+        self.bn.mode = mode
 
-    def buffers(self, prefix: str = "head.") -> dict[str, np.ndarray]:
+    def buffers(self) -> dict[str, np.ndarray]:
+        """Running statistics under each branch's checkpoint name; each value
+        is a view of that branch's channel slice."""
         out = {}
-        for k, state in self.bn.items():
-            out[f"{prefix}inception.branch_k{k}.bn.running_mean"] = state.running_mean
-            out[f"{prefix}inception.branch_k{k}.bn.running_var"] = state.running_var
+        for k, cols in _branch_columns(self.bn.running_mean.shape[0] // len(KERNEL_SIZES)):
+            b = _branch_name(k)
+            out[b + "bn.running_mean"] = self.bn.running_mean[cols]
+            out[b + "bn.running_var"] = self.bn.running_var[cols]
         return out
 
-    def load_buffers(self, values: dict[str, np.ndarray], prefix: str = "head.") -> None:
-        for name, arr in self.buffers(prefix).items():
+    def load_buffers(self, values: dict[str, np.ndarray]) -> None:
+        for name, arr in self.buffers().items():
             if name not in values:
                 raise DimensionError(f"checkpoint missing buffer {name}")
             if values[name].shape != arr.shape:
@@ -204,41 +200,48 @@ class HeadState:
             arr[...] = values[name]
 
 
-def make_head_state(cfg: ModelConfig, store: ParamStore, prefix: str = "head.") -> HeadState:
-    bn = {}
-    for k in cfg.kernel_sizes:
-        b = f"{prefix}inception.branch_k{k}."
-        bn[k] = BatchNormState(store.value(b + "bn.scale"), store.value(b + "bn.shift"))
-    return HeadState(bn=bn, dropout=DropoutSpec(cfg.dropout_rate))
+def make_head_state(cfg: ModelConfig, store: ParamStore) -> HeadState:
+    """Fresh running statistics (mean 0, variance 1) and the dropout spec.
+    Both depend on ``cfg`` alone; ``store`` is not read."""
+    channels = 4 * cfg.c
+    return HeadState(BatchNormState(np.zeros(channels), np.ones(channels)), DropoutSpec(cfg.dropout_rate))
+
+
+def _branch_name(k: int) -> str:
+    return f"head.inception.branch_k{k}."
+
+
+def _branch_columns(c: int):
+    """Each kernel width with its channel slice of the concatenated map."""
+    for i, k in enumerate(KERNEL_SIZES):
+        yield k, slice(i * c, (i + 1) * c)
 
 
 @dataclass
 class _InceptionCache:
-    conv_out: dict[int, np.ndarray]  # pre batch-norm
-    bn_out: dict[int, np.ndarray]  # pre ReLU
+    conv_out: np.ndarray  # concatenated branch outputs, pre batch-norm
+    bn_out: np.ndarray  # pre ReLU
 
 
-def _branch(cfg: ModelConfig, store: ParamStore, prefix: str, k: int):
-    b = f"{prefix}inception.branch_k{k}."
-    return conv_branch(k, store.value(b + "weight"), np.zeros(cfg.c))
+def _branch(cfg: ModelConfig, store: ParamStore, k: int):
+    return conv_branch(k, store.value(_branch_name(k) + "weight"), np.zeros(cfg.c))
+
+
+def _bn_param(store: ParamStore, name: str) -> np.ndarray:
+    """One batch-norm parameter of every branch, concatenated in kernel order."""
+    return np.concatenate([store.value(_branch_name(k) + "bn." + name) for k in KERNEL_SIZES])
 
 
 def inception_forward(
-    cfg: ModelConfig,
-    store: ParamStore,
-    state: HeadState,
-    h: np.ndarray,
-    prefix: str = "head.",
+    cfg: ModelConfig, store: ParamStore, state: HeadState, h: np.ndarray
 ) -> tuple[np.ndarray, _InceptionCache]:
-    """Four convolution branches (widths 2, 3, 5, 7), each followed by batch
-    norm and ReLU, concatenated channel-wise in kernel order."""
-    conv_out, bn_out, parts = {}, {}, []
-    for k in cfg.kernel_sizes:
-        y = conv1d_forward(_branch(cfg, store, prefix, k), h)
-        z = batchnorm_apply(state.bn[k], y)
-        conv_out[k], bn_out[k] = y, z
-        parts.append(relu(z))
-    return concat_features(parts), _InceptionCache(conv_out, bn_out)
+    """Four convolution branches (widths 2, 3, 5, 7), concatenated
+    channel-wise in kernel order, then one batch norm and ReLU over the
+    concat. Both act on each channel alone, so this is each branch
+    followed by its own norm and ReLU."""
+    y = concat_features([conv1d_forward(_branch(cfg, store, k), h) for k in KERNEL_SIZES])
+    z = batchnorm_apply(state.bn, _bn_param(store, "scale"), _bn_param(store, "shift"), y)
+    return relu(z), _InceptionCache(y, z)
 
 
 def inception_backward(
@@ -248,19 +251,17 @@ def inception_backward(
     h: np.ndarray,
     cache: _InceptionCache,
     dc_map: np.ndarray,
-    prefix: str = "head.",
 ) -> np.ndarray:
+    dz = relu_backward(cache.bn_out, dc_map)
+    dy, dgamma, dbeta = batchnorm_backward(state.bn, _bn_param(store, "scale"), cache.conv_out, dz)
     dh = np.zeros_like(h)
-    for i, k in enumerate(cfg.kernel_sizes):
-        b = f"{prefix}inception.branch_k{k}."
-        dslice = dc_map[..., i * cfg.c : (i + 1) * cfg.c]
-        dz = relu_backward(cache.bn_out[k], dslice)
-        dy, dgamma, dbeta = batchnorm_backward(state.bn[k], cache.conv_out[k], dz)
-        dh_k, dw, _ = conv1d_backward(_branch(cfg, store, prefix, k), h, dy)
+    for k, cols in _branch_columns(cfg.c):
+        b = _branch_name(k)
+        dh_k, dw, _ = conv1d_backward(_branch(cfg, store, k), h, dy[..., cols])
         dh += dh_k
         store.add_grad(b + "weight", dw)
-        store.add_grad(b + "bn.scale", dgamma)
-        store.add_grad(b + "bn.shift", dbeta)
+        store.add_grad(b + "bn.scale", dgamma[cols])
+        store.add_grad(b + "bn.shift", dbeta[cols])
     return dh
 
 
@@ -309,17 +310,17 @@ def received_entropy(received: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
-def _mha_params(store: ParamStore, prefix: str) -> MhaParams:
-    return MhaParams(*(store.value(f"{prefix}attn.{name}") for name in ("w_q", "w_k", "w_v", "w_o")))
+def _mha_params(store: ParamStore) -> MhaParams:
+    return MhaParams(*(store.value(f"head.attn.{name}") for name in ("w_q", "w_k", "w_v", "w_o")))
 
 
 def multi_head_attention(
-    cfg: ModelConfig, store: ParamStore, r: np.ndarray, prefix: str = "head."
+    cfg: ModelConfig, store: ParamStore, r: np.ndarray
 ) -> tuple[np.ndarray, AttentionMap, MhaCache]:
     """Per-position self-attention over the enriched features; also returns
     the received map computed from the pre-projection weight rows. The head
     itself only needs the pooled output (:func:`mha_mean_forward`)."""
-    a, cache = mha_forward(_mha_params(store, prefix), r)
+    a, cache = mha_forward(_mha_params(store), r)
     return a, attention_received(cache.weights), cache
 
 
@@ -347,54 +348,43 @@ class HeadPass:
     dense_pre: np.ndarray | None  # pre-ReLU dense activation
     dense_out: np.ndarray | None  # post layer-norm dense output
     logits: np.ndarray
-    amap: AttentionMap | None
 
 
 def head_forward(
-    cfg: ModelConfig,
-    store: ParamStore,
-    state: HeadState,
-    h: np.ndarray,
-    rng: Rng | None = None,
-    prefix: str = "head.",
+    cfg: ModelConfig, store: ParamStore, state: HeadState, h: np.ndarray, rng: Rng | None = None
 ) -> HeadPass:
     """Run the configured pipeline over hidden states ``B x L x d``."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 3 or h.shape[2] != cfg.d:
         raise DimensionError(f"hidden states must be B x L x {cfg.d}, got {h.shape}")
-    _check_store(cfg, store, prefix)
+    _check_store(cfg, store)
     h_dropped, mask = dropout(state.dropout, h, rng)
-    c_map, inc_cache = inception_forward(cfg, store, state, h_dropped, prefix)
+    c_map, inc_cache = inception_forward(cfg, store, state, h_dropped)
     r = enrich(h_dropped, c_map)
     if cfg.has_attention:
         # attention then mean pool, without the per-position attention output
-        pooled, mha_cache = mha_mean_forward(_mha_params(store, prefix), r)
-        amap = attention_received(mha_cache.weights)
+        pooled, mha_cache = mha_mean_forward(_mha_params(store), r)
     else:
-        amap, mha_cache = None, None
+        mha_cache = None
         pooled = adaptive_avg_pool(r)
     if cfg.has_dense:
-        dense_pre = linear(store.value(prefix + "dense.weight"), store.value(prefix + "dense.bias"), pooled)
+        dense_pre = linear(store.value("head.dense.weight"), store.value("head.dense.bias"), pooled)
         dense_out = layer_norm(
-            store.value(prefix + "dense.ln.scale"),
-            store.value(prefix + "dense.ln.shift"),
-            relu(dense_pre),
+            store.value("head.dense.ln.scale"), store.value("head.dense.ln.shift"), relu(dense_pre)
         )
         cls_in = dense_out
     else:
         dense_pre, dense_out = None, None
         cls_in = pooled
-    logits = linear(store.value(prefix + "classifier.weight"), store.value(prefix + "classifier.bias"), cls_in)
-    return HeadPass(
-        h, mask, h_dropped, inc_cache, c_map, r, mha_cache, pooled, dense_pre, dense_out, logits, amap
-    )
+    logits = linear(store.value("head.classifier.weight"), store.value("head.classifier.bias"), cls_in)
+    return HeadPass(h, mask, h_dropped, inc_cache, c_map, r, mha_cache, pooled, dense_pre, dense_out, logits)
 
 
-def _check_store(cfg: ModelConfig, store: ParamStore, prefix: str) -> None:
-    needed = f"{prefix}attn.w_q" if cfg.has_attention else f"{prefix}dense.weight" if cfg.has_dense else None
+def _check_store(cfg: ModelConfig, store: ParamStore) -> None:
+    needed = "head.attn.w_q" if cfg.has_attention else "head.dense.weight" if cfg.has_dense else None
     if needed and needed not in store:
         raise ConfigError(f"variant {cfg.variant!r} needs parameter {needed} but the store lacks it")
-    w = store.value(prefix + "classifier.weight")
+    w = store.value("head.classifier.weight")
     if w.shape[0] != cfg.classifier_in:
         raise ConfigError(
             f"classifier expects input {cfg.classifier_in} for variant {cfg.variant!r}, "
@@ -408,47 +398,44 @@ def head_backward(
     state: HeadState,
     hp: HeadPass,
     dlogits: np.ndarray,
-    prefix: str = "head.",
 ) -> np.ndarray:
     """Accumulate parameter gradients; returns the gradient w.r.t. the
     (pre-dropout) hidden states."""
     if cfg.has_dense:
-        dcls_in, dwc, dbc = linear_backward(store.value(prefix + "classifier.weight"), hp.dense_out, dlogits)
+        dcls_in, dwc, dbc = linear_backward(store.value("head.classifier.weight"), hp.dense_out, dlogits)
         relu_pre = relu(hp.dense_pre)
-        ddense_relu, dg, dbln = layer_norm_backward(store.value(prefix + "dense.ln.scale"), relu_pre, dcls_in)
+        ddense_relu, dg, dbln = layer_norm_backward(store.value("head.dense.ln.scale"), relu_pre, dcls_in)
         ddense_pre = relu_backward(hp.dense_pre, ddense_relu)
-        dpooled, dwd, dbd = linear_backward(store.value(prefix + "dense.weight"), hp.pooled, ddense_pre)
-        store.add_grad(prefix + "dense.weight", dwd)
-        store.add_grad(prefix + "dense.bias", dbd)
-        store.add_grad(prefix + "dense.ln.scale", dg)
-        store.add_grad(prefix + "dense.ln.shift", dbln)
+        dpooled, dwd, dbd = linear_backward(store.value("head.dense.weight"), hp.pooled, ddense_pre)
+        store.add_grad("head.dense.weight", dwd)
+        store.add_grad("head.dense.bias", dbd)
+        store.add_grad("head.dense.ln.scale", dg)
+        store.add_grad("head.dense.ln.shift", dbln)
     else:
-        dpooled, dwc, dbc = linear_backward(store.value(prefix + "classifier.weight"), hp.pooled, dlogits)
-    store.add_grad(prefix + "classifier.weight", dwc)
-    store.add_grad(prefix + "classifier.bias", dbc)
+        dpooled, dwc, dbc = linear_backward(store.value("head.classifier.weight"), hp.pooled, dlogits)
+    store.add_grad("head.classifier.weight", dwc)
+    store.add_grad("head.classifier.bias", dbc)
     if cfg.has_attention:
-        dr, grads = mha_mean_backward(_mha_params(store, prefix), hp.mha, dpooled)
-        store.add_grad(prefix + "attn.w_q", grads.w_q)
-        store.add_grad(prefix + "attn.w_k", grads.w_k)
-        store.add_grad(prefix + "attn.w_v", grads.w_v)
-        store.add_grad(prefix + "attn.w_o", grads.w_o)
+        dr, grads = mha_mean_backward(_mha_params(store), hp.mha, dpooled)
+        store.add_grad("head.attn.w_q", grads.w_q)
+        store.add_grad("head.attn.w_k", grads.w_k)
+        store.add_grad("head.attn.w_v", grads.w_v)
+        store.add_grad("head.attn.w_o", grads.w_o)
     else:
         dr = np.broadcast_to(dpooled[:, None, :] / hp.r.shape[1], hp.r.shape)
     dh_dropped = dr[..., : cfg.d].copy()
     dc_map = dr[..., cfg.d :]
-    dh_dropped += inception_backward(cfg, store, state, hp.h_dropped, hp.inception, dc_map, prefix)
+    dh_dropped += inception_backward(cfg, store, state, hp.h_dropped, hp.inception, dc_map)
     return dropout_backward(state.dropout, hp.mask, dh_dropped)
 
 
 # --- first-token baseline comparator --------------------------------------------
 
 
-def init_baseline_params(
-    d: int, n_classes: int, rng: Rng, store: ParamStore | None = None, prefix: str = "head."
-) -> ParamStore:
+def init_baseline_params(d: int, n_classes: int, rng: Rng, store: ParamStore | None = None) -> ParamStore:
     store = store if store is not None else ParamStore()
-    store.add(prefix + "cls.weight", glorot_uniform(rng, (d, n_classes), d, n_classes))
-    store.add(prefix + "cls.bias", np.zeros(n_classes))
+    store.add("head.cls.weight", glorot_uniform(rng, (d, n_classes), d, n_classes))
+    store.add("head.cls.bias", np.zeros(n_classes))
     return store
 
 
@@ -462,11 +449,7 @@ class BaselinePass:
 
 
 def baseline_cls_forward(
-    store: ParamStore,
-    h: np.ndarray,
-    spec: DropoutSpec,
-    rng: Rng | None = None,
-    prefix: str = "head.",
+    store: ParamStore, h: np.ndarray, spec: DropoutSpec, rng: Rng | None = None
 ) -> BaselinePass:
     """Classify from the first-position representation: dropout then a
     single affine map."""
@@ -475,20 +458,16 @@ def baseline_cls_forward(
         raise DimensionError(f"hidden states must be B x L x d with L >= 1, got {h.shape}")
     first = h[:, 0, :]
     dropped, mask = dropout(spec, first, rng)
-    logits = linear(store.value(prefix + "cls.weight"), store.value(prefix + "cls.bias"), dropped)
+    logits = linear(store.value("head.cls.weight"), store.value("head.cls.bias"), dropped)
     return BaselinePass(h.shape, first, mask, dropped, logits)
 
 
 def baseline_cls_backward(
-    store: ParamStore,
-    spec: DropoutSpec,
-    bp: BaselinePass,
-    dlogits: np.ndarray,
-    prefix: str = "head.",
+    store: ParamStore, spec: DropoutSpec, bp: BaselinePass, dlogits: np.ndarray
 ) -> np.ndarray:
-    ddropped, dw, db = linear_backward(store.value(prefix + "cls.weight"), bp.dropped, dlogits)
-    store.add_grad(prefix + "cls.weight", dw)
-    store.add_grad(prefix + "cls.bias", db)
+    ddropped, dw, db = linear_backward(store.value("head.cls.weight"), bp.dropped, dlogits)
+    store.add_grad("head.cls.weight", dw)
+    store.add_grad("head.cls.bias", db)
     dfirst = dropout_backward(spec, bp.mask, ddropped)
     dh = np.zeros(bp.h_shape)
     dh[:, 0, :] = dfirst

@@ -11,7 +11,7 @@ Shapes follow the batch-first convention ``B x L x features`` throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import ConfigError, DegenerateBatchError, DimensionError
 from .tensor import Rng
 
 __all__ = [
+    "KERNEL_SIZES",
     "ConvBranch",
     "conv_branch",
     "conv1d_forward",
@@ -46,7 +47,7 @@ __all__ = [
     "mha_mean_backward",
 ]
 
-SUPPORTED_KERNELS = (2, 3, 5, 7)
+KERNEL_SIZES = (2, 3, 5, 7)
 
 
 # --- multi-scale 1-D convolution ---------------------------------------------
@@ -70,8 +71,8 @@ class ConvBranch:
 
 def conv_branch(kernel_size: int, weight: np.ndarray, bias: np.ndarray) -> ConvBranch:
     """Build a branch with the padding rule implied by the kernel width."""
-    if kernel_size not in SUPPORTED_KERNELS:
-        raise ConfigError(f"kernel size must be one of {SUPPORTED_KERNELS}, got {kernel_size}")
+    if kernel_size not in KERNEL_SIZES:
+        raise ConfigError(f"kernel size must be one of {KERNEL_SIZES}, got {kernel_size}")
     weight = np.asarray(weight, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if weight.ndim != 3 or weight.shape[1] != kernel_size:
@@ -151,7 +152,8 @@ def conv1d_backward(
 
 @dataclass
 class BatchNormState:
-    """Per-channel affine normalization state.
+    """Per-channel running statistics of a batch norm; the learned scale and
+    shift are parameters, passed to each call like :func:`layer_norm`'s.
 
     In train mode, statistics pool over the batch and every sequence
     position; running estimates are updated as
@@ -159,19 +161,11 @@ class BatchNormState:
     running estimates are used and the op is a pure function of its input.
     """
 
-    scale: np.ndarray  # gamma, (c,)
-    shift: np.ndarray  # beta, (c,)
-    running_mean: np.ndarray = field(default=None)  # type: ignore[assignment]
-    running_var: np.ndarray = field(default=None)  # type: ignore[assignment]
+    running_mean: np.ndarray  # (c,), starts at 0
+    running_var: np.ndarray  # (c,), starts at 1
     momentum: float = 0.1
     eps: float = 1e-5
     mode: str = "train"
-
-    def __post_init__(self):
-        if self.running_mean is None:
-            self.running_mean = np.zeros_like(np.asarray(self.scale, dtype=np.float64))
-        if self.running_var is None:
-            self.running_var = np.ones_like(np.asarray(self.scale, dtype=np.float64))
 
 
 def _bn_stats(state: BatchNormState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,21 +178,21 @@ def _bn_stats(state: BatchNormState, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return state.running_mean, state.running_var
 
 
-def batchnorm_apply(state: BatchNormState, x: np.ndarray) -> np.ndarray:
+def batchnorm_apply(state: BatchNormState, gamma: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Normalize ``B x L x c`` per channel, then apply the learned affine."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[2] != state.scale.shape[0]:
-        raise DimensionError(f"channel mismatch: input {x.shape[2]} vs state {state.scale.shape[0]}")
+    if x.shape[2] != state.running_mean.shape[0]:
+        raise DimensionError(f"channel mismatch: input {x.shape[2]} vs state {state.running_mean.shape[0]}")
     mean, var = _bn_stats(state, x)
     if state.mode == "train":
         state.running_mean[...] = (1 - state.momentum) * state.running_mean + state.momentum * mean
         state.running_var[...] = (1 - state.momentum) * state.running_var + state.momentum * var
     xhat = (x - mean) / np.sqrt(var + state.eps)
-    return state.scale * xhat + state.shift
+    return gamma * xhat + beta
 
 
 def batchnorm_backward(
-    state: BatchNormState, x: np.ndarray, dy: np.ndarray
+    state: BatchNormState, gamma: np.ndarray, x: np.ndarray, dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input, scale, and shift.
 
@@ -213,7 +207,7 @@ def batchnorm_backward(
     xhat = (x - mean) * inv_std
     dgamma = (dy * xhat).sum(axis=(0, 1))
     dbeta = dy.sum(axis=(0, 1))
-    dxhat = dy * state.scale
+    dxhat = dy * gamma
     if state.mode != "train":
         return dxhat * inv_std, dgamma, dbeta
     n = x.shape[0] * x.shape[1]

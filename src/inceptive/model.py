@@ -28,6 +28,7 @@ from .head import (
     HeadPass,
     HeadState,
     ModelConfig,
+    attention_received,
     baseline_cls_backward,
     baseline_cls_forward,
     head_backward,
@@ -82,6 +83,13 @@ class _HeadMixin:
         if self.kind == "inceptive":
             return head_backward(self.cfg, self.params, self.head_state, head_pass, dlogits)
         return baseline_cls_backward(self.params, self.cls_dropout, head_pass, dlogits)
+
+    def _received(self, mp: ModelPass) -> np.ndarray:
+        """The enrichment head's received-attention map, computed from the
+        forward's weight rows."""
+        if not self.cfg.has_attention:
+            raise ConfigError(f"variant {self.cfg.variant!r} has no attention to export")
+        return attention_received(mp.head.mha.weights).received
 
     def _set_head_mode(self, train: bool) -> None:
         if self.head_state is not None:
@@ -143,7 +151,7 @@ class SequenceClassifier(_HeadMixin):
         map for the enrichment model, or the final encoder block's
         first-token query row (averaged over heads) for the baseline."""
         if self.kind == "inceptive":
-            return mp.head.amap.received
+            return self._received(mp)
         weights = mp.enc_cache.last_attention_weights
         if weights is None:
             raise ConfigError("baseline attention export needs at least one encoder block")
@@ -169,4 +177,4 @@ class HeadOnlyClassifier(_HeadMixin):
     def attention_export(self, mp: ModelPass) -> np.ndarray:
         if self.kind != "inceptive":
             raise ConfigError("the frozen-input baseline has no attention to export")
-        return mp.head.amap.received
+        return self._received(mp)

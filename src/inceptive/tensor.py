@@ -22,13 +22,11 @@ __all__ = [
     "Param",
     "ParamStore",
     "as_tensor",
-    "matmul",
+    "finite_float32",
     "concat_features",
     "glorot_uniform",
     "clip_global_norm",
     "grad_check",
-    "save_tensor",
-    "load_tensor",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -156,20 +154,6 @@ class ParamStore:
             p.value[...] = arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit inner-extent check.
-
-    ``a`` may carry leading batch extents that broadcast over a 2-D ``b``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return np.matmul(a, b)
-
-
 def concat_features(parts: list[np.ndarray]) -> np.ndarray:
     """Concatenate B x L x c_i feature maps along the channel axis.
 
@@ -196,16 +180,22 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm. Applying twice is equivalent to applying
-    once. Raises on NaN gradients.
+    once. A non-finite norm raises ``NumericError``, naming the first
+    parameter with a NaN or infinite gradient, or reporting that finite
+    gradients overflowed it.
     """
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
-    for name, p in params.items():
-        if np.isnan(p.grad).any():
-            raise NumericError(f"NaN gradient in {name}")
-        total += float(np.dot(p.grad.ravel(), p.grad.ravel()))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for _, p in params.items():
+            total += float(np.dot(p.grad.ravel(), p.grad.ravel()))
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        for name, p in params.items():
+            if not np.isfinite(p.grad).all():
+                raise NumericError(f"non-finite gradient in {name}")
+        raise NumericError("gradient norm overflows float64")
     if norm > max_norm:
         scale = max_norm / norm
         for _, p in params.items():
@@ -248,26 +238,34 @@ def grad_check(
     return max_rel
 
 
-# --- binary tensor container -------------------------------------------------
+# --- tensor records ------------------------------------------------------------
 #
-# Layout: magic "ITNS", u32 version (=1), u32 rank, rank x u64 extents,
-# then little-endian float32 payload in row-major order. Values are widened
-# to float64 on load.
+# One record per checkpoint entry. Layout: magic "ITNS", u32 version (=1),
+# u32 rank, rank x u64 extents, then little-endian float32 payload in
+# row-major order. Values are widened to float64 on load.
 
 _MAGIC = b"ITNS"
 _VERSION = 1
 
 
-def tensor_bytes(arr: np.ndarray) -> bytes:
+def finite_float32(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as little-endian float32. A value that is not finite there
+    (NaN, infinite, or beyond float32 range) raises ``NumericError`` naming
+    ``what`` and the value's index."""
+    with np.errstate(over="ignore"):
+        out = arr.astype("<f4")
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = np.unravel_index(int(np.argmin(finite)), arr.shape)
+        raise NumericError(f"{what} {tuple(map(int, bad))} = {float(arr[bad])} is not a finite float32")
+    return out
+
+
+def tensor_bytes(arr: np.ndarray, name: str) -> bytes:
     arr = as_tensor(arr)
     header = _MAGIC + struct.pack("<II", _VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    return header + arr.astype("<f4").tobytes(order="C")
-
-
-def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_bytes(arr))
+    return header + finite_float32(arr, f"tensor {name}").tobytes(order="C")
 
 
 def tensor_from_bytes(buf: bytes, base_offset: int = 0) -> tuple[np.ndarray, int]:
@@ -306,15 +304,6 @@ def tensor_from_bytes(buf: bytes, base_offset: int = 0) -> tuple[np.ndarray, int
     return data.astype(np.float64).reshape(shape), off
 
 
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    arr, used = tensor_from_bytes(buf)
-    if used != len(buf):
-        raise FormatError(f"{len(buf) - used} trailing bytes after tensor", used)
-    return arr
-
-
 # --- checkpoints --------------------------------------------------------------
 #
 # A checkpoint is a name-index preamble followed by one tensor record per
@@ -325,13 +314,16 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write ``tensors`` in dict order. A value that is not a finite float32
+    raises :class:`~inceptive.errors.NumericError` and nothing is written,
+    since :func:`load_checkpoint` would refuse the file."""
     names = list(tensors)
     blob = struct.pack("<I", len(names))
     for name in names:
         raw = name.encode("utf-8")
         blob += struct.pack("<H", len(raw)) + raw
     for name in names:
-        blob += tensor_bytes(tensors[name])
+        blob += tensor_bytes(tensors[name], name)
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -354,8 +346,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         names.append(buf[off : off + nlen].decode("utf-8"))
         off += nlen
     out: dict[str, np.ndarray] = {}
+    view = memoryview(buf)  # records are parsed in place, not copied out
     for name in names:
-        arr, used = tensor_from_bytes(buf[off:], off)
+        arr, used = tensor_from_bytes(view[off:], off)
         out[name] = arr
         off += used
     if off != len(buf):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, LabelError, NumericError, UndefinedMetricError
+from .errors import ConfigError, InputError, LabelError, UndefinedMetricError
 from .layers import softmax_rows
 from .metrics import PredictionSet, accuracy, average_precision, precision_recall_f1, roc_auc
 from .tensor import ParamStore, Rng, clip_global_norm
@@ -168,8 +168,6 @@ def adamw_step(
     bias2 = 1.0 - b2**state.t
     for name, p in params.items():
         g = p.grad
-        if np.isnan(g).any():
-            raise NumericError(f"NaN gradient in {name}")
         m = state.m[name]
         v = state.v[name]
         update = np.multiply(g, 1 - b1)

@@ -141,12 +141,30 @@ class TestEvalAndAttnmap:
         if not (out / "run_00.ckpt").exists():
             assert main(["train", "--config", str(cfg), "--runs", "1", "--out", str(out)]) == 0
         tensors = load_checkpoint(out / "run_00.ckpt")
-        tensors["head.attn.w_q"][0, 0, 0] = np.nan
+        tensors["head.attn.w_q"][0, 0, 0] = 12345.0  # marks the value's bytes
         bad = root / "nan.ckpt"
         save_checkpoint(bad, tensors)
+        mark = np.float32(12345.0).tobytes()
+        blob = bad.read_bytes()
+        assert blob.count(mark) == 1
+        bad.write_bytes(blob.replace(mark, np.float32(np.nan).tobytes()))
         maps = root / "nan_maps"
         rc = main(["attnmap", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(maps)])
         assert rc == 3
+        assert not maps.exists()
+
+
+    def test_attnmap_without_attention_is_config_error(self, workspace, capsys):
+        root, cfg = workspace
+        out = root / "abl_out"
+        if not (out / "run_00.ckpt").exists():
+            assert main(["train", "--config", str(cfg), "--runs", "1", "--variant", "no_attn",
+                         "--out", str(out)]) == 0
+        maps = root / "no_attn_maps"
+        rc = main(["attnmap", "--config", str(cfg), "--variant", "no_attn",
+                   "--checkpoint", str(out / "run_00.ckpt"), "--out", str(maps)])
+        assert rc == 2
+        assert "no_attn" in capsys.readouterr().err
         assert not maps.exists()
 
 

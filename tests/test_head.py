@@ -3,6 +3,7 @@ import pytest
 
 from inceptive.errors import ConfigError, DimensionError, InputError, NumericError
 from inceptive.head import (
+    KERNEL_SIZES,
     ModelConfig,
     adaptive_avg_pool,
     attention_received,
@@ -21,7 +22,8 @@ from inceptive.head import (
     write_attention_csv,
     write_attention_pgm,
 )
-from inceptive.layers import DropoutSpec, conv_branch, conv1d_forward, relu
+from inceptive.layers import BatchNormState, DropoutSpec, batchnorm_apply, conv_branch, conv1d_forward, relu
+from inceptive.model import HeadOnlyClassifier
 from inceptive.tensor import Rng, grad_check
 from inceptive.training import softmax_cross_entropy
 
@@ -40,10 +42,6 @@ class TestModelConfig:
         cfg = ModelConfig(d=768, c=32, n_heads=8, dense_dim=512, n_classes=4)
         assert cfg.d_r == 896
         assert cfg.resolved_head_dim == 112
-
-    def test_kernel_sizes_fixed(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(d=8, c=2, kernel_sizes=(2, 3))
 
     def test_attention_width_bound(self):
         with pytest.raises(ConfigError):
@@ -71,24 +69,51 @@ class TestInception:
     def test_zero_weights_give_zero_output(self):
         cfg, store, state = build()
         state.set_mode(False)
-        for k in cfg.kernel_sizes:
+        for k in KERNEL_SIZES:
             store.value(f"head.inception.branch_k{k}.weight")[...] = 0.0
         c_map, _ = inception_forward(cfg, store, state, Rng(2).normal((2, 5, 16)))
         assert not c_map.any()
 
     def test_matches_per_branch_oracle_in_kernel_order(self):
-        cfg, store, state = build(c=1)
-        state.set_mode(False)
-        h = Rng(3).normal((1, 4, 16))
-        c_map, _ = inception_forward(cfg, store, state, h)
-        for i, k in enumerate((2, 3, 5, 7)):
-            branch = conv_branch(k, store.value(f"head.inception.branch_k{k}.weight"), np.zeros(1))
-            y = conv1d_forward(branch, h)
-            rm = state.bn[k].running_mean
-            rv = state.bn[k].running_var
-            z = (y - rm) / np.sqrt(rv + state.bn[k].eps)
-            expect = relu(state.bn[k].scale * z + state.bn[k].shift)
-            np.testing.assert_allclose(c_map[..., i : i + 1], expect, atol=1e-12)
+        """One batch norm and ReLU over the concat equal each branch's own
+        conv, norm and ReLU, bitwise, with the running statistics each
+        branch's norm would keep under its checkpoint name."""
+        cfg, store, state = build(c=3)
+        rng = Rng(3)
+        for name, p in store.items():
+            if ".bn." in name:
+                p.value[...] = rng.child(name).normal(p.value.shape)
+        bn = {k: BatchNormState(np.zeros(3), np.ones(3)) for k in KERNEL_SIZES}
+        for step, train in enumerate((True, True, False)):
+            state.set_mode(train)
+            h = rng.child("h", step).normal((3, 6, 16))
+            c_map, _ = inception_forward(cfg, store, state, h)
+            for i, k in enumerate(KERNEL_SIZES):
+                b = f"head.inception.branch_k{k}."
+                bn[k].mode = "train" if train else "eval"
+                y = conv1d_forward(conv_branch(k, store.value(b + "weight"), np.zeros(3)), h)
+                z = batchnorm_apply(bn[k], store.value(b + "bn.scale"), store.value(b + "bn.shift"), y)
+                assert np.array_equal(c_map[..., 3 * i : 3 * (i + 1)], relu(z))
+                assert np.array_equal(state.buffers()[b + "bn.running_mean"], bn[k].running_mean)
+                assert np.array_equal(state.buffers()[b + "bn.running_var"], bn[k].running_var)
+
+
+class TestStateRoundTrip:
+    def test_state_tensors_restore_bitwise_eval_logits(self):
+        cfg = ModelConfig(**TOY)
+        model = HeadOnlyClassifier(cfg, rng=Rng(1))
+        model.set_mode(True)
+        for step in range(2):
+            model.forward(Rng(2).child(step).normal((4, 6, 16)) * (step + 2), Rng(3).child(step))
+        tensors = model.state_tensors()
+        means = [tensors[f"head.inception.branch_k{k}.bn.running_mean"] for k in KERNEL_SIZES]
+        assert all(not np.array_equal(means[0], m) for m in means[1:])
+        restored = HeadOnlyClassifier(cfg, rng=Rng(9))
+        restored.load_state(tensors)
+        model.set_mode(False)
+        restored.set_mode(False)
+        h = Rng(4).normal((3, 6, 16))
+        assert np.array_equal(model.forward(h).logits, restored.forward(h).logits)
 
 
 class TestEnrich:
@@ -240,7 +265,7 @@ class TestHeadForward:
         attended, amap, _ = multi_head_attention(cfg, store, hp.r)
         want = adaptive_avg_pool(attended)
         assert np.abs(hp.pooled - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(hp.amap.received, amap.received)
+        assert np.array_equal(attention_received(hp.mha.weights).received, amap.received)
 
     def test_mismatched_variant_store_rejected(self):
         cfg_nd, store_nd, state_nd = build("no_dense")

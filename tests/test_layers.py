@@ -137,62 +137,58 @@ class TestConv1d:
 
 class TestBatchNorm:
     def test_hand_normalization(self):
-        state = BatchNormState(np.ones(1), np.zeros(1), eps=1e-12)
+        state = BatchNormState(np.zeros(1), np.ones(1), eps=1e-12)
         x = np.array([[[1.0], [3.0]]])
-        out = batchnorm_apply(state, x)
+        out = batchnorm_apply(state, np.ones(1), np.zeros(1), x)
         np.testing.assert_allclose(out[0, :, 0], [-1.0, 1.0], atol=1e-5)
 
     def test_eval_identity_stats(self):
-        state = BatchNormState(np.ones(2), np.zeros(2), mode="eval")
+        state = BatchNormState(np.zeros(2), np.ones(2), mode="eval")
         x = Rng(0).normal((2, 3, 2))
-        np.testing.assert_allclose(batchnorm_apply(state, x), x, atol=1e-4)
+        np.testing.assert_allclose(batchnorm_apply(state, np.ones(2), np.zeros(2), x), x, atol=1e-4)
 
     def test_constant_channel_maps_to_shift(self):
-        state = BatchNormState(np.ones(1), np.full(1, 2.5))
+        state = BatchNormState(np.zeros(1), np.ones(1))
         x = np.full((2, 3, 1), 7.0)
-        np.testing.assert_allclose(batchnorm_apply(state, x), 2.5)
+        np.testing.assert_allclose(batchnorm_apply(state, np.ones(1), np.full(1, 2.5), x), 2.5)
 
     def test_train_mode_normalizes_each_channel(self):
-        state = BatchNormState(np.ones(3), np.zeros(3), eps=1e-12)
-        out = batchnorm_apply(state, Rng(2).normal((4, 8, 3)) * 3.0 + 1.0)
+        state = BatchNormState(np.zeros(3), np.ones(3), eps=1e-12)
+        out = batchnorm_apply(state, np.ones(3), np.zeros(3), Rng(2).normal((4, 8, 3)) * 3.0 + 1.0)
         assert np.abs(out.mean(axis=(0, 1))).max() < 1e-9
         assert np.abs(out.var(axis=(0, 1)) - 1.0).max() < 1e-6
 
     def test_running_stats_update(self):
-        state = BatchNormState(np.ones(1), np.zeros(1), momentum=0.1)
+        state = BatchNormState(np.zeros(1), np.ones(1), momentum=0.1)
         x = np.array([[[1.0], [3.0]]])
-        batchnorm_apply(state, x)
+        batchnorm_apply(state, np.ones(1), np.zeros(1), x)
         assert state.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
         assert state.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
     def test_degenerate_batch_rejected(self):
-        state = BatchNormState(np.ones(1), np.zeros(1))
+        state = BatchNormState(np.zeros(1), np.ones(1))
         with pytest.raises(DegenerateBatchError):
-            batchnorm_apply(state, np.ones((1, 1, 1)))
+            batchnorm_apply(state, np.ones(1), np.zeros(1), np.ones((1, 1, 1)))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_backward_matches_finite_differences(self, mode):
         rng = Rng(31)
-        state = BatchNormState(rng.normal(3) + 2.0, rng.normal(3), mode=mode)
+        gamma, beta = rng.normal(3) + 2.0, rng.normal(3)
+        state = BatchNormState(np.zeros(3), np.ones(3), mode=mode)
         x = rng.normal((2, 4, 3))
         proj = rng.normal((2, 4, 3))
 
         store = ParamStore()
-        store.add("scale", state.scale)
-        store.add("shift", state.shift)
+        store.add("scale", gamma)
+        store.add("shift", beta)
         store.add("x", x)
 
         def f(params):
-            s = BatchNormState(
-                params.value("scale"),
-                params.value("shift"),
-                running_mean=state.running_mean.copy(),
-                running_var=state.running_var.copy(),
-                mode=mode,
-            )
-            return float((batchnorm_apply(s, params.value("x")) * proj).sum())
+            s = BatchNormState(state.running_mean.copy(), state.running_var.copy(), mode=mode)
+            out = batchnorm_apply(s, params.value("scale"), params.value("shift"), params.value("x"))
+            return float((out * proj).sum())
 
-        dx, dgamma, dbeta = batchnorm_backward(state, x, proj)
+        dx, dgamma, dbeta = batchnorm_backward(state, gamma, x, proj)
         store.grad("scale")[...] = dgamma
         store.grad("shift")[...] = dbeta
         store.grad("x")[...] = dx

@@ -10,10 +10,7 @@ from inceptive.tensor import (
     glorot_uniform,
     grad_check,
     load_checkpoint,
-    load_tensor,
-    matmul,
     save_checkpoint,
-    save_tensor,
 )
 
 
@@ -35,41 +32,6 @@ class TestRng:
         a = Rng(0).child("epoch", 3).random(4)
         b = Rng(0).child("epoch", 4).random(4)
         assert not np.array_equal(a, b)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.eye(2)), a)
-
-    def test_hand_expansion(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 3)))
-
-    def test_batched_lhs(self):
-        a = Rng(0).normal((3, 2, 4))
-        b = Rng(1).normal((4, 5))
-        out = matmul(a, b)
-        assert out.shape == (3, 2, 5)
-        np.testing.assert_allclose(out[1], a[1] @ b)
-
-    def test_against_triple_loop_oracle(self):
-        rng = Rng(11)
-        for _ in range(100):
-            m, k, n = (int(v) for v in rng.integers(1, 9, 3))
-            a = rng.normal((m, k))
-            b = rng.normal((k, n))
-            expect = np.zeros((m, n))
-            for i in range(m):
-                for j in range(n):
-                    for t in range(k):
-                        expect[i, j] += a[i, t] * b[t, j]
-            assert np.abs(matmul(a, b) - expect).max() < 1e-9
 
 
 class TestConcatFeatures:
@@ -177,6 +139,17 @@ class TestClipGlobalNorm:
         with pytest.raises(NumericError):
             clip_global_norm(store, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_grad_raises_naming_it(self, bad):
+        store = self._store([[0.5], [1.0, bad], [np.nan]])
+        with pytest.raises(NumericError, match="non-finite gradient in p1"):
+            clip_global_norm(store, 1.0)
+
+    def test_overflowing_finite_norm_raises(self):
+        store = self._store([[1e200, -1e200]])
+        with pytest.raises(NumericError, match="overflows"):
+            clip_global_norm(store, 1.0)
+
 
 class TestGradCheck:
     def test_quadratic_closed_form(self):
@@ -220,30 +193,45 @@ class TestRowMajorLayout:
             assert np.array_equal(flat.reshape(shape), x)
 
 
+def _record_offset(names: list[str], index: int, shapes: list[tuple]) -> int:
+    """Byte offset of tensor record ``index`` in a checkpoint: the name index
+    (u32 count, then u16 length + bytes per name), then records of magic,
+    version, rank, u64 extents and a float32 payload."""
+    off = 4 + sum(2 + len(n) for n in names)
+    for shape in shapes[:index]:
+        off += 12 + 8 * len(shape) + 4 * int(np.prod(shape))
+    return off
+
+
 class TestTensorIO:
     def test_round_trip_f32_payload(self, tmp_path):
         x = Rng(8).normal((3, 4, 5))
-        path = tmp_path / "t.itns"
-        save_tensor(path, x)
-        back = load_tensor(path)
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"t": x})
+        back = load_checkpoint(path)["t"]
         assert back.shape == (3, 4, 5)
         assert back.dtype == np.float64
         np.testing.assert_array_equal(back, x.astype(np.float32).astype(np.float64))
 
     def test_bad_magic_reports_offset(self, tmp_path):
-        path = tmp_path / "bad.itns"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="offset 0"):
-            load_tensor(path)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, {"t": np.ones(2)})
+        blob = bytearray(path.read_bytes())
+        at = _record_offset(["t"], 0, [(2,)])
+        blob[at : at + 4] = b"XXXX"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="bad tensor magic") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at == 7
 
     def test_truncated_payload_reports_offset(self, tmp_path):
-        x = np.ones((2, 2))
-        path = tmp_path / "t.itns"
-        save_tensor(path, x)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-4])
-        with pytest.raises(FormatError, match="truncated payload"):
-            load_tensor(path)
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, {"t": np.ones((2, 2))})
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="truncated payload") as err:
+            load_checkpoint(path)
+        # the payload starts after the 7-byte name index and the 28-byte record header
+        assert err.value.offset == 7 + 28
 
     def test_checkpoint_round_trip_preserves_names_and_order(self, tmp_path):
         tensors = {"b.weight": Rng(0).normal((2, 3)), "a.bias": Rng(1).normal(4)}
@@ -258,21 +246,25 @@ class TestTensorIO:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected_at_its_offset(self, tmp_path, bad):
-        x = np.ones((2, 3))
-        x[1, 1] = bad
-        path = tmp_path / "t.itns"
-        save_tensor(path, x)
-        with pytest.raises(FormatError, match="non-finite") as err:
-            load_tensor(path)
-        # header: magic, version, rank, two extents; then element 4 of the payload
-        assert err.value.offset == 4 + 8 + 2 * 8 + 4 * 4
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"a": np.ones(3), "w": x})
-        blob = path.read_bytes()
+        save_checkpoint(path, {"a": np.ones(3), "w": np.ones((2, 3))})
+        blob = bytearray(path.read_bytes())
+        # element (1, 1) of w: fifth value of the second record's payload
+        at = _record_offset(["a", "w"], 1, [(3,), (2, 3)]) + 12 + 2 * 8 + 4 * 4
+        blob[at : at + 4] = np.float32(bad).astype("<f4").tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite") as err:
             load_checkpoint(path)
-        # the bad value's bytes sit at the reported offset of the whole file
-        assert not np.isfinite(np.frombuffer(blob, "<f4", 1, err.value.offset)[0])
+        assert err.value.offset == at == 86
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_save_rejects_values_float32_cannot_hold(self, tmp_path, bad):
+        w = np.ones((2, 3))
+        w[1, 2] = bad
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(NumericError, match=r"tensor w \(1, 2\)"):
+            save_checkpoint(path, {"a": np.ones(3), "w": w})
+        assert not path.exists()
 
     def test_checkpoint_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
