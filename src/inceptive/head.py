@@ -251,14 +251,18 @@ def inception_backward(
     h: np.ndarray,
     cache: _InceptionCache,
     dc_map: np.ndarray,
-) -> np.ndarray:
+    need_input_grad: bool = True,
+) -> np.ndarray | None:
+    """Accumulate the branch gradients; returns the gradient w.r.t. ``h``,
+    or ``None`` without forming it when ``need_input_grad`` is off."""
     dz = relu_backward(cache.bn_out, dc_map)
     dy, dgamma, dbeta = batchnorm_backward(state.bn, _bn_param(store, "scale"), cache.conv_out, dz)
-    dh = np.zeros_like(h)
+    dh = np.zeros_like(h) if need_input_grad else None
     for k, cols in _branch_columns(cfg.c):
         b = _branch_name(k)
-        dh_k, dw, _ = conv1d_backward(_branch(cfg, store, k), h, dy[..., cols])
-        dh += dh_k
+        dh_k, dw, _ = conv1d_backward(_branch(cfg, store, k), h, dy[..., cols], need_input_grad)
+        if need_input_grad:
+            dh += dh_k
         store.add_grad(b + "weight", dw)
         store.add_grad(b + "bn.scale", dgamma[cols])
         store.add_grad(b + "bn.shift", dbeta[cols])
@@ -398,9 +402,19 @@ def head_backward(
     state: HeadState,
     hp: HeadPass,
     dlogits: np.ndarray,
-) -> np.ndarray:
+    need_input_grad: bool = True,
+) -> np.ndarray | None:
     """Accumulate parameter gradients; returns the gradient w.r.t. the
-    (pre-dropout) hidden states."""
+    (pre-dropout) hidden states.
+
+    With ``need_input_grad`` off (frozen inputs: nothing below the head
+    trains) it returns ``None`` and builds no input gradient: attention
+    back-propagates only into the ``4c`` convolution columns of ``r``, the
+    convolutions skip their input products and dropout has no backward.
+    The parameter gradients are the same either way. They are bitwise the
+    same where BLAS rounds the narrower attention product's columns as it
+    rounds them in the full-width one; at the desk and paper shapes it does.
+    """
     if cfg.has_dense:
         dcls_in, dwc, dbc = linear_backward(store.value("head.classifier.weight"), hp.dense_out, dlogits)
         relu_pre = relu(hp.dense_pre)
@@ -415,17 +429,22 @@ def head_backward(
         dpooled, dwc, dbc = linear_backward(store.value("head.classifier.weight"), hp.pooled, dlogits)
     store.add_grad("head.classifier.weight", dwc)
     store.add_grad("head.classifier.bias", dbc)
+    # the first d columns of r are the input itself; only the input gradient reads them
+    dr_start = 0 if need_input_grad else cfg.d
     if cfg.has_attention:
-        dr, grads = mha_mean_backward(_mha_params(store), hp.mha, dpooled)
+        dr, grads = mha_mean_backward(_mha_params(store), hp.mha, dpooled, dr_start)
         store.add_grad("head.attn.w_q", grads.w_q)
         store.add_grad("head.attn.w_k", grads.w_k)
         store.add_grad("head.attn.w_v", grads.w_v)
         store.add_grad("head.attn.w_o", grads.w_o)
     else:
-        dr = np.broadcast_to(dpooled[:, None, :] / hp.r.shape[1], hp.r.shape)
+        dr = np.broadcast_to(dpooled[:, None, :] / hp.r.shape[1], hp.r.shape)[..., dr_start:]
+    dc_map = dr[..., cfg.d - dr_start :]
+    dh_conv = inception_backward(cfg, store, state, hp.h_dropped, hp.inception, dc_map, need_input_grad)
+    if not need_input_grad:
+        return None
     dh_dropped = dr[..., : cfg.d].copy()
-    dc_map = dr[..., cfg.d :]
-    dh_dropped += inception_backward(cfg, store, state, hp.h_dropped, hp.inception, dc_map)
+    dh_dropped += dh_conv
     return dropout_backward(state.dropout, hp.mask, dh_dropped)
 
 
@@ -463,11 +482,16 @@ def baseline_cls_forward(
 
 
 def baseline_cls_backward(
-    store: ParamStore, spec: DropoutSpec, bp: BaselinePass, dlogits: np.ndarray
-) -> np.ndarray:
+    store: ParamStore, spec: DropoutSpec, bp: BaselinePass, dlogits: np.ndarray, need_input_grad: bool = True
+) -> np.ndarray | None:
+    """Accumulate the classifier gradients; returns the gradient w.r.t. the
+    hidden states, or ``None`` without forming it when ``need_input_grad``
+    is off."""
     ddropped, dw, db = linear_backward(store.value("head.cls.weight"), bp.dropped, dlogits)
     store.add_grad("head.cls.weight", dw)
     store.add_grad("head.cls.bias", db)
+    if not need_input_grad:
+        return None
     dfirst = dropout_backward(spec, bp.mask, ddropped)
     dh = np.zeros(bp.h_shape)
     dh[:, 0, :] = dfirst

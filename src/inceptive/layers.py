@@ -126,12 +126,14 @@ def conv1d_forward(branch: ConvBranch, h: np.ndarray) -> np.ndarray:
 
 
 def conv1d_backward(
-    branch: ConvBranch, h: np.ndarray, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    branch: ConvBranch, h: np.ndarray, dy: np.ndarray, need_input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Adjoint of :func:`conv1d_forward`; padding positions get no input grad.
 
     ``dy`` is scattered into the per-tap layout of the forward's GEMM, so
-    the weight and input gradients are one product each.
+    the weight and input gradients are one product each. With
+    ``need_input_grad`` off the input gradient is not formed and ``None``
+    takes its place.
     """
     h = np.asarray(h, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
@@ -142,7 +144,7 @@ def conv1d_backward(
         dtaps[:, lo + s : hi + s, j, :] = dy[:, lo:hi, :]
     dtaps = dtaps.reshape(b * length, k * c)
     dweight = (dtaps.T @ h.reshape(b * length, d)).reshape(k, c, d).transpose(1, 0, 2)
-    dh = (dtaps @ _tap_major(branch)).reshape(b, length, d)
+    dh = (dtaps @ _tap_major(branch)).reshape(b, length, d) if need_input_grad else None
     dbias = dy.sum(axis=(0, 1))
     return dh, dweight, dbias
 
@@ -244,20 +246,29 @@ class DropoutSpec:
 
 
 def dropout(spec: DropoutSpec, x: np.ndarray, rng: Rng | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (output, keep mask). Eval mode and rate 0 pass ``x`` through
-    unchanged and consume no randomness."""
+    """Returns (output, bool keep mask). Eval mode and rate 0 pass ``x``
+    through unchanged, consume no randomness and return an all-true mask
+    that is a zero-stride view, not a buffer.
+
+    The output is ``x / (1 - rate)`` times the mask, which is bitwise
+    ``x * mask / (1 - rate)``, the sign of dropped zeros included.
+    """
     if spec.mode != "train" or spec.rate == 0.0:
-        return x, np.ones_like(x)
+        return x, np.broadcast_to(True, x.shape)
     if rng is None:
         raise ConfigError("train-mode dropout needs an Rng")
-    mask = (rng.random(x.shape) >= spec.rate).astype(np.float64)
-    return x * mask / (1.0 - spec.rate), mask
+    keep = rng.random(x.shape) >= spec.rate
+    out = x / (1.0 - spec.rate)
+    out *= keep
+    return out, keep
 
 
 def dropout_backward(spec: DropoutSpec, mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
     if spec.mode != "train" or spec.rate == 0.0:
         return dy
-    return dy * mask / (1.0 - spec.rate)
+    dx = dy / (1.0 - spec.rate)
+    dx *= mask
+    return dx
 
 
 def linear(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -398,13 +409,14 @@ def _project_heads(x2: np.ndarray, w: np.ndarray, b: int, length: int) -> np.nda
 
 
 def _project_heads_backward(
-    x2: np.ndarray, w: np.ndarray, dproj: np.ndarray, dx2: np.ndarray
+    x2: np.ndarray, w: np.ndarray, dproj: np.ndarray, dx2: np.ndarray, dx_start: int = 0
 ) -> np.ndarray:
-    """Adjoint of :func:`_project_heads`: adds the input gradient into
-    ``dx2`` (``B*L x d_in``) and returns the weight gradient."""
+    """Adjoint of :func:`_project_heads`: adds the gradient of input columns
+    ``dx_start:`` into ``dx2`` (``B*L x (d_in - dx_start)``) and returns the
+    weight gradient."""
     h, d_in, d_head = w.shape
     flat = dproj.transpose(0, 2, 1, 3).reshape(x2.shape[0], h * d_head)
-    dx2 += flat @ w.transpose(1, 0, 2).reshape(d_in, h * d_head).T
+    dx2 += flat @ w[:, dx_start:, :].transpose(1, 0, 2).reshape(d_in - dx_start, h * d_head).T
     return (x2.T @ flat).reshape(d_in, h, d_head).transpose(1, 0, 2)
 
 
@@ -484,7 +496,7 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
 
 
 def mha_mean_backward(
-    params: MhaParams, cache: MhaMeanCache, dpooled: np.ndarray
+    params: MhaParams, cache: MhaMeanCache, dpooled: np.ndarray, dx_start: int = 0
 ) -> tuple[np.ndarray, MhaParams]:
     """Adjoint of :func:`mha_mean_forward` given the pooled gradient
     ``dpooled`` (``B x d_out``).
@@ -495,6 +507,11 @@ def mha_mean_backward(
     only the query and key gradients need ``L x L`` and full-size products.
     Exact: it equals :func:`mha_backward` fed ``dpooled / L`` at every
     position.
+
+    Only input columns ``dx_start:`` get a gradient: the returned ``dx`` is
+    ``B x L x (d_in - dx_start)``, and only those rows of each projection
+    enter its input-gradient product. The parameter gradients do not depend
+    on ``dx_start``.
     """
     h, d_in, d_head = params.w_q.shape
     b, length, _ = cache.x.shape
@@ -511,10 +528,12 @@ def mha_mean_backward(
     dq = dscores @ cache.k
     dk = dscores.swapaxes(-1, -2) @ cache.q
     x2 = cache.x.reshape(b * length, d_in)
-    dx2 = np.zeros_like(x2)
-    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2)
-    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2)
-    dx = dx2.reshape(b, length, d_in)
-    dx += colsum.swapaxes(1, 2) @ wg
+    if not 0 <= dx_start < d_in:
+        raise DimensionError(f"dx_start must be in [0, {d_in}), got {dx_start}")
+    dx2 = np.zeros((b * length, d_in - dx_start))
+    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2, dx_start)
+    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2, dx_start)
+    dx = dx2.reshape(b, length, d_in - dx_start)
+    dx += colsum.swapaxes(1, 2) @ wg[..., dx_start:]
     dw_v = (colsum @ cache.x).transpose(1, 2, 0) @ g_heads
     return dx, MhaParams(dw_q, dw_k, dw_v, dw_o)

@@ -4,7 +4,9 @@
 enrichment head or the first-token baseline head. ``HeadOnlyClassifier``
 runs the same heads over frozen hidden states ingested from an embedding
 file, so representations exported by any external encoder can be classified
-without touching them.
+without touching them. With no encoder below the head, its backward pass
+builds only parameter gradients: no gradient w.r.t. the hidden states is
+computed.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ class _HeadMixin:
             return head_forward(self.cfg, self.params, self.head_state, h, rng)
         return baseline_cls_forward(self.params, h, self.cls_dropout, rng)
 
-    def _head_backward(self, head_pass, dlogits: np.ndarray) -> np.ndarray:
+    def _head_backward(self, head_pass, dlogits: np.ndarray, need_input_grad: bool) -> np.ndarray | None:
         if self.kind == "inceptive":
-            return head_backward(self.cfg, self.params, self.head_state, head_pass, dlogits)
-        return baseline_cls_backward(self.params, self.cls_dropout, head_pass, dlogits)
+            return head_backward(self.cfg, self.params, self.head_state, head_pass, dlogits, need_input_grad)
+        return baseline_cls_backward(self.params, self.cls_dropout, head_pass, dlogits, need_input_grad)
 
     def _received(self, mp: ModelPass) -> np.ndarray:
         """The enrichment head's received-attention map, computed from the
@@ -142,7 +144,7 @@ class SequenceClassifier(_HeadMixin):
         return ModelPass(ids, x, enc_cache, head_pass)
 
     def backward(self, mp: ModelPass, dlogits: np.ndarray) -> None:
-        dh = self._head_backward(mp.head, dlogits)
+        dh = self._head_backward(mp.head, dlogits, need_input_grad=True)
         dx = encode_backward(self.enc_cfg, self.params, mp.enc_cache, dh)
         embed_backward(self.enc_cfg, self.params, mp.inputs, dx)
 
@@ -159,7 +161,9 @@ class SequenceClassifier(_HeadMixin):
 
 
 class HeadOnlyClassifier(_HeadMixin):
-    """Classifies precomputed hidden states; no gradient reaches the input."""
+    """Classifies precomputed hidden states. Nothing below the head trains,
+    so the backward pass computes no gradient w.r.t. the input, only the
+    head's parameter gradients (see :func:`inceptive.head.head_backward`)."""
 
     def __init__(self, cfg: ModelConfig, kind: str = "inceptive", rng: Rng | None = None):
         self.params = ParamStore()
@@ -172,7 +176,7 @@ class HeadOnlyClassifier(_HeadMixin):
         return ModelPass(h, None, None, self._head_forward(h, rng))
 
     def backward(self, mp: ModelPass, dlogits: np.ndarray) -> None:
-        self._head_backward(mp.head, dlogits)
+        self._head_backward(mp.head, dlogits, need_input_grad=False)
 
     def attention_export(self, mp: ModelPass) -> np.ndarray:
         if self.kind != "inceptive":

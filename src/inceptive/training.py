@@ -213,12 +213,14 @@ def train_epoch(
     rng: Rng,
 ) -> dict:
     """One pass over the data in seeded shuffle order; the last short batch
-    is kept. Returns the mean training loss."""
+    is kept. Returns the mean training loss, the learning rate, and the
+    pre-clip gradient norm's mean and maximum over the steps with the
+    fraction of steps whose norm clipping scaled down."""
     inputs, targets = data
     model.set_mode(True)
     order = rng.child("shuffle", epoch).permutation(len(inputs))
     no_decay = _no_decay_names(model.params)
-    losses = []
+    losses, norms = [], []
     n_classes = model.n_classes
     for start in range(0, len(order), cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
@@ -226,10 +228,17 @@ def train_epoch(
         loss, dlogits = _loss_and_scores(model.task, mp.logits, targets[idx], n_classes)
         model.params.zero_grads()
         model.backward(mp, dlogits)
-        clip_global_norm(model.params, cfg.max_grad_norm)
+        norms.append(clip_global_norm(model.params, cfg.max_grad_norm))
         adamw_step(model.params, opt, lr, cfg.weight_decay, no_decay)
         losses.append(loss)
-    return {"train_loss": float(np.mean(losses)), "lr": float(lr)}
+    norms = np.array(norms)
+    return {
+        "train_loss": float(np.mean(losses)),
+        "lr": float(lr),
+        "grad_norm_mean": float(norms.mean()),
+        "grad_norm_max": float(norms.max()),
+        "clip_frac": float(np.mean(norms > cfg.max_grad_norm)),
+    }
 
 
 def evaluate(model, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig) -> tuple[dict, float]:

@@ -74,6 +74,9 @@ class TestTrain:
             assert rc == 0
         rep_a = json.loads((out_a / "run_00.json").read_text())
         rep_b = json.loads((out_b / "run_00.json").read_text())
+        for epoch in rep_a["epochs"]:
+            assert 0 < epoch["grad_norm_mean"] <= epoch["grad_norm_max"]
+            assert 0.0 <= epoch["clip_frac"] <= 1.0
         rep_a.pop("timing")
         rep_b.pop("timing")
         assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)

@@ -23,6 +23,7 @@ from inceptive.head import (
     write_attention_pgm,
 )
 from inceptive.layers import BatchNormState, DropoutSpec, batchnorm_apply, conv_branch, conv1d_forward, relu
+import inceptive.head
 from inceptive.model import HeadOnlyClassifier
 from inceptive.tensor import Rng, grad_check
 from inceptive.training import softmax_cross_entropy
@@ -296,6 +297,63 @@ class TestHeadForward:
         store.zero_grads()
         head_backward(cfg, store, state, hp, dlogits)
         assert grad_check(f, store, 1e-5) < 1e-4
+
+
+def _grads_both_ways(kind, cfg, b, length, seed=0):
+    """Parameter gradients of one train-mode pass, with and without the input
+    gradient, and what each backward returned."""
+    model = HeadOnlyClassifier(cfg, kind, Rng(seed))
+    model.set_mode(True)
+    mp = model.forward(Rng(seed + 1).normal((b, length, cfg.d)), Rng(seed + 2))
+    _, dlogits = softmax_cross_entropy(mp.logits, np.arange(b) % cfg.n_classes)
+    out = []
+    for need in (True, False):
+        model.params.zero_grads()
+        dh = model._head_backward(mp.head, dlogits, need)
+        out.append((dh, {name: p.grad.copy() for name, p in model.params.items()}))
+    return out
+
+
+class TestFrozenInputBackward:
+    """Without an encoder the head builds no input gradient; its parameter
+    gradients stay bitwise those of the full backward."""
+
+    DESK = dict(d=16, c=16, n_heads=2, dense_dim=8, n_classes=4, dropout_rate=0.1)
+
+    @pytest.mark.parametrize(
+        "kind,variant",
+        [("inceptive", "full"), ("inceptive", "no_attn"), ("inceptive", "no_dense"), ("baseline", "full")],
+    )
+    def test_parameter_grads_bitwise_at_desk_shape(self, kind, variant):
+        cfg = ModelConfig(**self.DESK, variant=variant)
+        (dh, full), (none, frozen) = _grads_both_ways(kind, cfg, 32, 32)
+        assert dh.shape == (32, 32, 16) and none is None
+        assert full.keys() == frozen.keys()
+        for name in full:
+            assert full[name].tobytes() == frozen[name].tobytes(), name
+
+    def test_parameter_grads_bitwise_at_paper_shape(self):
+        cfg = ModelConfig(d=768, c=32, n_heads=8, dense_dim=512, n_classes=4, dropout_rate=0.1)
+        (_, full), (_, frozen) = _grads_both_ways("inceptive", cfg, 32, 128)
+        assert len(full) == 22
+        for name in full:
+            assert full[name].tobytes() == frozen[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["inceptive", "baseline"])
+    def test_head_only_backward_never_runs_dropout_backward(self, kind, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("dropout_backward called")
+
+        monkeypatch.setattr(inceptive.head, "dropout_backward", spy)
+        cfg = ModelConfig(d=8, c=2, n_heads=2, head_dim=4, dense_dim=4, n_classes=2, dropout_rate=0.1)
+        model = HeadOnlyClassifier(cfg, kind, Rng(0))
+        model.set_mode(True)
+        mp = model.forward(Rng(1).normal((4, 5, 8)), Rng(2))
+        _, dlogits = softmax_cross_entropy(mp.logits, np.array([0, 1, 1, 0]))
+        model.backward(mp, dlogits)
+        assert any(p.grad.any() for _, p in model.params.items())
+        with pytest.raises(AssertionError, match="dropout_backward called"):
+            model._head_backward(mp.head, dlogits, True)
 
 
 class TestBaselineHead:

@@ -98,6 +98,16 @@ class TestConv1d:
         dh, dw, db = conv1d_backward(branch, h, np.zeros((2, 5, 2)))
         assert not dh.any() and not dw.any() and not db.any()
 
+    def test_backward_without_input_grad(self):
+        rng = Rng(5)
+        for k in (2, 3, 5, 7):
+            branch = conv_branch(k, rng.normal((3, k, 4)), np.zeros(3))
+            h, dy = rng.normal((2, 6, 4)), rng.normal((2, 6, 3))
+            _, dw, db = conv1d_backward(branch, h, dy)
+            dh, dw_off, db_off = conv1d_backward(branch, h, dy, need_input_grad=False)
+            assert dh is None
+            assert np.array_equal(dw_off, dw) and np.array_equal(db_off, db)
+
     def test_backward_single_position_hand_adjoint(self):
         # L=1, k=2: only the first kernel slot sees data, the second sees padding.
         branch = conv_branch(2, Rng(3).normal((1, 2, 3)), np.zeros(1))
@@ -242,6 +252,27 @@ class TestDropout:
         dy = Rng(5).normal((8, 8))
         dx = dropout_backward(spec, mask, dy)
         np.testing.assert_allclose(dx, dy * mask / 0.7)
+
+    def test_bool_mask_bitwise_with_negatives_and_zeros(self):
+        spec = DropoutSpec(0.3)
+        x = Rng(6).normal((16, 16))
+        x[0, :4] = (0.0, -0.0, 0.0, -0.0)
+        x[1] = -np.abs(x[1])
+        out, mask = dropout(spec, x, Rng(7))
+        assert mask.dtype == bool
+        assert mask.any() and not mask.all()
+        assert out.tobytes() == (x * mask.astype(np.float64) / 0.7).tobytes()
+        dy = x[::-1].copy()
+        dx = dropout_backward(spec, mask, dy)
+        assert dx.tobytes() == (dy * mask.astype(np.float64) / 0.7).tobytes()
+
+    def test_identity_modes_return_zero_stride_mask(self):
+        x = Rng(8).normal((3, 4, 5))
+        for spec in (DropoutSpec(0.5, mode="eval"), DropoutSpec(0.0)):
+            out, mask = dropout(spec, x)
+            assert out is x
+            assert mask.dtype == bool and mask.shape == x.shape
+            assert mask.all() and mask.strides == (0, 0, 0)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -474,6 +505,27 @@ class TestMhaMeanBackward:
                 assert got.shape == want.shape
                 scale = max(np.abs(want).max(), 1e-300)
                 assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_column_restricted_input_gradient(self):
+        rng = Rng(93)
+        for b, length, d_in, h, dh in MEAN_CASES:
+            params, x = _mha_case(rng, b, length, d_in, h, dh)
+            dpooled = rng.normal((b, d_in))
+            _, cache = mha_mean_forward(params, x)
+            dx, grads = mha_mean_backward(params, cache, dpooled)
+            for start in (0, 1, d_in - 1):
+                part, part_grads = mha_mean_backward(params, cache, dpooled, start)
+                want = dx[..., start:]
+                assert part.shape == want.shape
+                # a narrower product may round its columns differently; the default is the same code
+                assert np.abs(part - want).max() <= 1e-12 * np.abs(dx).max()
+                if start == 0:
+                    assert np.array_equal(part, dx)
+                for name in ("w_q", "w_k", "w_v", "w_o"):
+                    assert np.array_equal(getattr(part_grads, name), getattr(grads, name))
+            for start in (-1, d_in):
+                with pytest.raises(DimensionError):
+                    mha_mean_backward(params, cache, dpooled, start)
 
     def test_matches_finite_differences_through_mean_pool(self):
         rng = Rng(92)

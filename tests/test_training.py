@@ -5,7 +5,7 @@ from inceptive.encoder import EncoderConfig
 from inceptive.errors import ConfigError, InputError, LabelError
 from inceptive.head import ModelConfig
 from inceptive.model import HeadOnlyClassifier, SequenceClassifier
-from inceptive.tensor import ParamStore, Rng, grad_check
+from inceptive.tensor import ParamStore, Rng, clip_global_norm, grad_check
 from inceptive.training import (
     TrainConfig,
     adamw_step,
@@ -218,6 +218,27 @@ class TestTrainEpoch:
         # after the epoch the last batch's clipped grads are still in the store
         total = sum(float((p.grad ** 2).sum()) for _, p in model.params.items())
         assert np.sqrt(total) <= 0.01 + 1e-9
+
+    def test_reports_gradient_telemetry(self, monkeypatch):
+        import inceptive.training as training
+
+        seen = []
+
+        def recording_clip(params, max_norm):
+            seen.append(clip_global_norm(params, max_norm))
+            return seen[-1]
+
+        monkeypatch.setattr(training, "clip_global_norm", recording_clip)
+        data = toy_data()
+        for max_norm, frac in ((0.01, 1.0), (1e9, 0.0)):
+            seen.clear()
+            model = toy_model()
+            cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-3, max_grad_norm=max_norm, seed=0)
+            rec = train_epoch(model, data, cfg, init_adamw(model.params), 1, 1e-3, Rng(9))
+            assert len(seen) == 2
+            assert rec["grad_norm_mean"] == float(np.mean(seen))
+            assert rec["grad_norm_max"] == max(seen)
+            assert rec["clip_frac"] == frac
 
     def test_single_batch_overfit(self):
         model = toy_model(seed=11)
