@@ -29,7 +29,7 @@ splits = [encode_batch(part, data.vocab, spec.seq_len, spec.n_classes, False)
 enc_cfg = EncoderConfig(vocab_size=max(data.vocab.values()) + 1, d=16, n_layers=2,
                         n_heads=2, ffn_size=32, max_len=spec.seq_len)
 model_cfg = ModelConfig(d=16, c=8, n_heads=2, dense_dim=8, n_classes=4, dropout_rate=0.1)
-train_cfg = TrainConfig(seq_len=spec.seq_len, batch_size=32, epochs=8, lr=2e-3, seed=0)
+train_cfg = TrainConfig(seq_len=spec.seq_len, batch_size=32, epochs=8, lr=2e-3)
 
 rng = Rng(5)
 model = SequenceClassifier(enc_cfg, model_cfg, "inceptive", rng.child("init"))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, VocabularyError
+from .errors import ConfigError, DimensionError, FormatError, LabelError, VocabularyError
 from .layers import (
     MhaCache,
     MhaParams,
@@ -24,7 +24,7 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .tensor import ParamStore, Rng, finite_float32, glorot_uniform
+from .tensor import BinaryReader, ParamStore, Rng, finite_float32, glorot_uniform
 
 __all__ = [
     "EncoderConfig",
@@ -193,7 +193,8 @@ def encode_backward(cfg: EncoderConfig, params: ParamStore, cache: EncoderCache,
 # Layout: magic "IEMB", u32 version (=1), u32 B, u32 L, u32 d,
 # u8 label_kind (0 = class index, 1 = multi-label), u32 C, then B labels
 # (u32 each for class indices, C x u8 each for multi-label rows), then
-# B*L*d finite little-endian float32 values in row-major order.
+# B*L*d finite little-endian float32 values in row-major order. B, L and d
+# are at least 1; a class index is below C and a multi-label byte is 0 or 1.
 
 _EMB_MAGIC = b"IEMB"
 _EMB_VERSION = 1
@@ -201,19 +202,22 @@ _EMB_VERSION = 1
 
 def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> None:
     """Write hidden states and labels; 1-D integer labels are class indices,
-    a 2-D 0/1 matrix is treated as multi-label rows. The payload is float32:
-    non-finite values and values beyond float32 range raise
-    :class:`~inceptive.errors.NumericError` and nothing is written."""
+    a 2-D 0/1 matrix is treated as multi-label rows. Nothing is written when a
+    value is not a finite float32 (``NumericError``), an extent is 0
+    (``DimensionError``) or a label lies outside the label space (``LabelError``)."""
     h = np.asarray(h, dtype=np.float64)
     labels = np.asarray(labels)
-    if h.ndim != 3:
-        raise DimensionError(f"hidden states must be B x L x d, got {h.shape}")
+    if h.ndim != 3 or 0 in h.shape:
+        raise DimensionError(f"hidden states must be B x L x d with every extent >= 1, got {h.shape}")
     b, length, d = h.shape
     multilabel = labels.ndim == 2
     if multilabel and labels.shape != (b, n_classes):
         raise DimensionError(f"multi-label matrix {labels.shape} vs ({b}, {n_classes})")
     if not multilabel and labels.shape != (b,):
         raise DimensionError(f"label vector {labels.shape} vs ({b},)")
+    limit = 2 if multilabel else n_classes
+    if not ((labels >= 0) & (labels < limit)).all():
+        raise LabelError(f"labels must lie in [0, {limit})")
     payload = finite_float32(h, "hidden state")
     blob = _EMB_MAGIC + struct.pack(
         "<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes
@@ -227,52 +231,31 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         fh.write(blob)
 
 
-def load_embeddings(path) -> tuple[np.ndarray, np.ndarray]:
+def load_embeddings(path, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse an embedding file; returns (hidden states, labels).
 
     The tensor is float64 in memory but carries no gradient: it enters the
-    pipeline as a frozen input. A non-finite payload value raises
-    :class:`~inceptive.errors.FormatError` at its byte offset.
+    pipeline as a frozen input. A file that breaks the layout above, or
+    whose C differs from ``n_classes`` when that is given, raises
+    :class:`~inceptive.errors.FormatError` at the failing byte offset.
     """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _EMB_MAGIC:
-        raise FormatError("bad embedding-file magic", 0)
-    off = 4
-    if len(buf) < off + 21:
-        raise FormatError("truncated embedding header", off)
-    version, b, length, d, label_kind, n_classes = struct.unpack_from("<IIIIBI", buf, off)
+        r = BinaryReader(fh.read())
+    r.magic(_EMB_MAGIC, "embedding-file")
+    version, b, length, d, label_kind, classes = r.unpack("<IIIIBI", "embedding header")
     if version != _EMB_VERSION:
-        raise FormatError(f"unsupported embedding-file version {version}", off)
-    off += 21
+        raise FormatError(f"unsupported embedding-file version {version}", 4)
+    for at, field, n in ((8, "B", b), (12, "L", length), (16, "d", d)):
+        if n == 0:
+            raise FormatError(f"embedding header field {field} is 0", at)
+    if n_classes is not None and classes != n_classes:
+        raise FormatError(f"label space C={classes} vs configured n_classes={n_classes}", 21)
     if label_kind == 0:
-        need = 4 * b
-        if len(buf) < off + need:
-            raise FormatError("truncated class-index labels", off)
-        labels = np.frombuffer(buf, dtype="<u4", count=b, offset=off).astype(np.int64)
-        off += need
+        labels = r.array("<u4", (b,), "class-index labels", limit=classes).astype(np.int64)
     elif label_kind == 1:
-        need = b * n_classes
-        if len(buf) < off + need:
-            raise FormatError("truncated multi-label rows", off)
-        labels = (
-            np.frombuffer(buf, dtype=np.uint8, count=need, offset=off)
-            .reshape(b, n_classes)
-            .astype(np.float64)
-        )
-        off += need
+        labels = r.array("u1", (b, classes), "multi-label rows", limit=2).astype(np.float64)
     else:
-        raise FormatError(f"unknown label kind {label_kind}", off - 5)
-    count = b * length * d
-    if len(buf) < off + 4 * count:
-        raise FormatError(
-            f"truncated payload: need {4 * count} bytes, have {len(buf) - off}", off
-        )
-    if len(buf) != off + 4 * count:
-        raise FormatError(f"{len(buf) - off - 4 * count} trailing bytes", off + 4 * count)
-    payload = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
-    finite = np.isfinite(payload)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FormatError(f"non-finite hidden state {float(payload[bad])} in payload", off + 4 * bad)
-    return payload.astype(np.float64).reshape(b, length, d), labels
+        raise FormatError(f"unknown label kind {label_kind}", 20)
+    h = r.array("<f4", (b, length, d), "payload").astype(np.float64)
+    r.end("embedding file")
+    return h, labels

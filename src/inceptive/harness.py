@@ -153,7 +153,7 @@ def load_data(settings: RunSettings, splits: tuple[str, ...] = _SPLITS) -> DataB
     if settings.embeddings_mode:
         for split in splits:
             path = settings.paths[f"{split}_embeddings"]
-            h, labels = load_embeddings(path)
+            h, labels = load_embeddings(path, n_classes)
             if h.shape[2] != settings.model["d"]:
                 raise DimensionError(
                     f"{path}: embedding width {h.shape[2]} vs configured d={settings.model['d']}"

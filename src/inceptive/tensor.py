@@ -9,6 +9,7 @@ and finiteness contracts on top of numpy's arithmetic.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -22,6 +23,7 @@ __all__ = [
     "Param",
     "ParamStore",
     "as_tensor",
+    "BinaryReader",
     "finite_float32",
     "concat_features",
     "glorot_uniform",
@@ -238,11 +240,55 @@ def grad_check(
     return max_rel
 
 
+class BinaryReader:
+    """Bounds-checked cursor over the bytes of a checkpoint or embedding file.
+    Each read checks its size (a Python int, so it cannot overflow) against
+    the bytes left before it slices or allocates, and every failure raises
+    :class:`~inceptive.errors.FormatError` at the offset of the read."""
+
+    def __init__(self, buf: bytes):
+        self.buf = memoryview(buf)
+        self.off = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.buf) - self.off:
+            raise FormatError(f"truncated {what}: need {n} bytes, have {len(self.buf) - self.off}", self.off)
+        self.off += n
+        return self.buf[self.off - n : self.off]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def magic(self, expected: bytes, what: str) -> None:
+        if self.buf[self.off : self.off + len(expected)] != expected:
+            raise FormatError(f"bad {what} magic", self.off)
+        self.off += len(expected)
+
+    def array(self, dtype: str, shape: tuple[int, ...], what: str, limit: int | None = None) -> np.ndarray:
+        """A read-only row-major view of ``shape``, whose extents must be >= 1.
+        Values must be finite, or below ``limit`` when given (unsigned dtypes)."""
+        at = self.off
+        if 0 in shape:
+            raise FormatError(f"zero extent in {what} shape {shape}", at)
+        dt = np.dtype(dtype)
+        data = np.frombuffer(self.take(math.prod(shape) * dt.itemsize, what), dtype=dt)
+        ok = np.isfinite(data) if limit is None else data < limit
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            rule = "non-finite" if limit is None else f"out-of-range (limit {limit})"
+            raise FormatError(f"{rule} value {data[bad]} in {what}", at + dt.itemsize * bad)
+        return data.reshape(shape)
+
+    def end(self, what: str) -> None:
+        if self.off != len(self.buf):
+            raise FormatError(f"{len(self.buf) - self.off} trailing bytes after {what}", self.off)
+
+
 # --- tensor records ------------------------------------------------------------
 #
 # One record per checkpoint entry. Layout: magic "ITNS", u32 version (=1),
-# u32 rank, rank x u64 extents, then little-endian float32 payload in
-# row-major order. Values are widened to float64 on load.
+# u32 rank, rank x u64 extents (each >= 1), then finite little-endian float32
+# payload in row-major order. Values are widened to float64 on load.
 
 _MAGIC = b"ITNS"
 _VERSION = 1
@@ -266,42 +312,6 @@ def tensor_bytes(arr: np.ndarray, name: str) -> bytes:
     header = _MAGIC + struct.pack("<II", _VERSION, arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
     return header + finite_float32(arr, f"tensor {name}").tobytes(order="C")
-
-
-def tensor_from_bytes(buf: bytes, base_offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one tensor record; returns (array, bytes consumed).
-
-    A non-finite payload value raises ``FormatError`` at its byte offset;
-    the scan runs on the float32 view, before widening.
-    """
-    off = 0
-    if buf[off : off + 4] != _MAGIC:
-        raise FormatError("bad tensor magic", base_offset + off)
-    off += 4
-    if len(buf) < off + 8:
-        raise FormatError("truncated tensor header", base_offset + off)
-    version, rank = struct.unpack_from("<II", buf, off)
-    if version != _VERSION:
-        raise FormatError(f"unsupported tensor version {version}", base_offset + off)
-    off += 8
-    if len(buf) < off + 8 * rank:
-        raise FormatError("truncated extent list", base_offset + off)
-    shape = struct.unpack_from(f"<{rank}Q", buf, off)
-    off += 8 * rank
-    count = int(np.prod(shape)) if rank else 1
-    need = 4 * count
-    if len(buf) < off + need:
-        raise FormatError(
-            f"truncated payload: need {need} bytes, have {len(buf) - off}",
-            base_offset + off,
-        )
-    data = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
-    finite = np.isfinite(data)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FormatError(f"non-finite value {float(data[bad])} in payload", base_offset + off + 4 * bad)
-    off += need
-    return data.astype(np.float64).reshape(shape), off
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -329,28 +339,25 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint as float64 arrays; a bad file raises
+    :class:`~inceptive.errors.FormatError` at the failing byte offset."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 4:
-        raise FormatError("truncated checkpoint header", 0)
-    (count,) = struct.unpack_from("<I", buf, 0)
-    off = 4
+        r = BinaryReader(fh.read())
+    (count,) = r.unpack("<I", "checkpoint header")
     names = []
     for _ in range(count):
-        if len(buf) < off + 2:
-            raise FormatError("truncated name index", off)
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        if len(buf) < off + nlen:
-            raise FormatError("truncated name entry", off)
-        names.append(buf[off : off + nlen].decode("utf-8"))
-        off += nlen
+        (nlen,) = r.unpack("<H", "name index")
+        try:
+            names.append(str(r.take(nlen, "name entry"), "utf-8"))
+        except UnicodeDecodeError as exc:  # at the first byte that is not UTF-8
+            raise FormatError("name is not UTF-8", r.off - nlen + exc.start) from None
     out: dict[str, np.ndarray] = {}
-    view = memoryview(buf)  # records are parsed in place, not copied out
     for name in names:
-        arr, used = tensor_from_bytes(view[off:], off)
-        out[name] = arr
-        off += used
-    if off != len(buf):
-        raise FormatError(f"{len(buf) - off} trailing bytes after checkpoint", off)
+        r.magic(_MAGIC, "tensor")
+        version, rank = r.unpack("<II", "tensor header")
+        if version != _VERSION:
+            raise FormatError(f"unsupported tensor version {version}", r.off - 8)
+        shape = r.unpack(f"<{rank}Q", "extent list")
+        out[name] = r.array("<f4", shape, "payload").astype(np.float64)
+    r.end("checkpoint")
     return out

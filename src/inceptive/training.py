@@ -48,7 +48,6 @@ class TrainConfig:
     weight_decay: float = 1e-3
     sigmoid_threshold: float = 0.5
     max_grad_norm: float = 1.0
-    seed: int = 0
     selection_metric: str = "accuracy"
 
     def __post_init__(self):

@@ -170,6 +170,35 @@ class TestEvalAndAttnmap:
         assert "no_attn" in capsys.readouterr().err
         assert not maps.exists()
 
+    def test_corrupt_checkpoint_extent_and_name_are_data_errors(self, workspace, capsys):
+        root, cfg = workspace
+        out = root / "train_out"
+        if not (out / "run_00.ckpt").exists():
+            assert main(["train", "--config", str(cfg), "--runs", "1", "--out", str(out)]) == 0
+        blob = (out / "run_00.ckpt").read_bytes()
+        tensors = load_checkpoint(out / "run_00.ckpt")
+        names = list(tensors)
+        # first record of rank >= 2: its extents become (2**40, 2**24, 1, ...),
+        # whose product wraps to 0 in u64 arithmetic
+        at = 4 + sum(2 + len(n) for n in names)
+        for name in names:
+            if tensors[name].ndim >= 2:
+                break
+            at += 12 + 8 * tensors[name].ndim + 4 * tensors[name].size
+        extents = [2**40, 2**24] + [1] * (tensors[name].ndim - 2)
+        overflow = blob[: at + 12] + np.array(extents, dtype="<u8").tobytes()
+        overflow += blob[at + 12 + 8 * len(extents) :]
+        bad_name = blob[:6] + b"\xff" + blob[7:]  # first byte of the first name
+        for label, corrupt, offset in (("extent", overflow, at + 12 + 8 * len(extents)),
+                                       ("name", bad_name, 6)):
+            bad = root / f"{label}.ckpt"
+            bad.write_bytes(corrupt)
+            evals = root / f"{label}_eval"
+            rc = main(["eval", "--config", str(cfg), "--checkpoint", str(bad), "--out", str(evals)])
+            assert rc == 3
+            assert f"(byte offset {offset})" in capsys.readouterr().err
+            assert not evals.exists()
+
 
 class TestXval:
     def test_paired_folds_and_recomputable_summary(self, workspace):
@@ -274,6 +303,62 @@ class TestEmbeddingsMode:
         rc = main(["train", "--config", str(cfg_path), "--runs", "1",
                    "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_labels_must_fit_the_configured_label_space(self, tmp_path, capsys):
+        from inceptive.encoder import save_embeddings
+        from inceptive.tensor import Rng
+
+        rng = Rng(5)
+        for name in ("train", "val", "test"):
+            save_embeddings(tmp_path / f"{name}.iemb", rng.child(name).normal((8, 3, 8)),
+                            np.arange(8) % 4, n_classes=4)
+        config = {
+            "d": 8, "c": 2, "n_heads": 2, "head_dim": 4, "dense_dim": 4, "n_classes": 4,
+            "seq_len": 3, "batch_size": 4, "epochs": 1, "lr": 0.01,
+            "train_embeddings": "train.iemb", "val_embeddings": "val.iemb",
+            "test_embeddings": "test.iemb",
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--runs", "1", "--out", str(out)]) == 0
+        ckpt = str(out / "run_00.ckpt")
+        test_file = tmp_path / "test.iemb"
+        blob = test_file.read_bytes()
+        labels_at = 4 + 21
+        nines = np.array([0, 1, 2, 3, 9, 9, 9, 9], dtype="<u4").tobytes()
+        for case, where in (("labels", labels_at + 16), ("C=2", 21)):
+            if case == "labels":  # patched in, since the writer refuses them
+                test_file.write_bytes(blob[:labels_at] + nines + blob[labels_at + 32 :])
+            else:
+                save_embeddings(test_file, np.ones((8, 3, 8)), np.arange(8) % 2, n_classes=2)
+            evals = tmp_path / "eval_out"
+            rc = main(["eval", "--config", str(cfg_path), "--checkpoint", ckpt, "--out", str(evals)])
+            assert rc == 3
+            assert f"(byte offset {where})" in capsys.readouterr().err
+            assert not evals.exists()
+
+    def test_empty_split_is_data_error(self, tmp_path, capsys):
+        from inceptive.encoder import save_embeddings
+
+        save_embeddings(tmp_path / "full.iemb", np.ones((4, 3, 8)), np.array([0, 1, 0, 1]),
+                        n_classes=2)
+        blob = (tmp_path / "full.iemb").read_bytes()
+        (tmp_path / "train.iemb").write_bytes(blob[:8] + bytes(4) + blob[12:25])  # B = 0
+        for name in ("val", "test"):
+            (tmp_path / f"{name}.iemb").write_bytes(blob)
+        config = {
+            "d": 8, "c": 2, "n_heads": 2, "head_dim": 4, "dense_dim": 4, "n_classes": 2,
+            "seq_len": 3, "epochs": 1, "lr": 0.01,
+            "train_embeddings": "train.iemb", "val_embeddings": "val.iemb",
+            "test_embeddings": "test.iemb",
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path), "--runs", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "(byte offset 8)" in capsys.readouterr().err
 
 
 class TestExitCodes:

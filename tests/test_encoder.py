@@ -12,7 +12,14 @@ from inceptive.encoder import (
     load_embeddings,
     save_embeddings,
 )
-from inceptive.errors import ConfigError, FormatError, NumericError, VocabularyError
+from inceptive.errors import (
+    ConfigError,
+    DimensionError,
+    FormatError,
+    LabelError,
+    NumericError,
+    VocabularyError,
+)
 from inceptive.tensor import Rng, grad_check
 
 
@@ -168,3 +175,52 @@ class TestEmbeddingFile:
         save_embeddings(path, np.zeros((1, 2, 768)), np.array([0]), n_classes=2)
         h, _ = load_embeddings(path)
         assert h.shape == (1, 2, 768)
+
+    def test_labels_outside_the_label_space_rejected_at_their_offset(self, tmp_path):
+        path = tmp_path / "e.iemb"
+        save_embeddings(path, np.ones((4, 2, 3)), np.array([0, 1, 2, 3]), n_classes=4)
+        blob = path.read_bytes()
+        labels_at = 4 + 21
+        at = labels_at + 4 * 2  # the class index 2 of [0, 1, 2, 3]
+        for label in (4, 9, 2**32 - 1):
+            path.write_bytes(blob[:at] + np.uint32(label).tobytes() + blob[at + 4 :])
+            with pytest.raises(FormatError, match=f"value {label} in class-index labels") as err:
+                load_embeddings(path)
+            assert err.value.offset == at
+        multi = np.array([[1, 0, 1], [0, 1, 1]])
+        save_embeddings(path, np.ones((2, 2, 3)), multi, n_classes=3)
+        blob = path.read_bytes()
+        at = labels_at + 3 * 1 + 2  # row 1, label 2
+        for byte in (2, 255):
+            path.write_bytes(blob[:at] + bytes([byte]) + blob[at + 1 :])
+            with pytest.raises(FormatError, match="multi-label rows") as err:
+                load_embeddings(path)
+            assert err.value.offset == at
+
+    @pytest.mark.parametrize("field", [8, 12, 16])  # B, L, d
+    def test_zero_extent_rejected_at_its_header_field(self, tmp_path, field):
+        path = tmp_path / "e.iemb"
+        save_embeddings(path, np.ones((2, 4, 3)), np.array([0, 1]), n_classes=2)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:field] + bytes(4) + blob[field + 4 :])
+        with pytest.raises(FormatError, match="is 0") as err:
+            load_embeddings(path)
+        assert err.value.offset == field
+
+    def test_label_space_checked_against_n_classes(self, tmp_path):
+        path = tmp_path / "e.iemb"
+        save_embeddings(path, np.ones((2, 4, 3)), np.array([0, 1]), n_classes=2)
+        assert load_embeddings(path, n_classes=2)[1].tolist() == [0, 1]
+        with pytest.raises(FormatError, match="C=2") as err:
+            load_embeddings(path, n_classes=4)
+        assert err.value.offset == 21
+
+    def test_save_refuses_zero_extents_and_labels_outside_the_label_space(self, tmp_path):
+        path = tmp_path / "e.iemb"
+        for shape in ((0, 4, 3), (2, 0, 3), (2, 4, 0)):
+            with pytest.raises(DimensionError):
+                save_embeddings(path, np.ones(shape), np.zeros(shape[0], dtype=int), n_classes=2)
+        for labels in ([0, 2], [-1, 0], [[0, 2], [1, 0]]):
+            with pytest.raises(LabelError):
+                save_embeddings(path, np.ones((2, 4, 3)), np.array(labels), n_classes=2)
+        assert not path.exists()

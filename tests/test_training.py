@@ -190,7 +190,7 @@ class TestTrainEpoch:
         data = toy_data()
         before = {name: p.value.copy() for name, p in model.params.items()}
         opt = init_adamw(model.params)
-        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-9, weight_decay=0.0, seed=0)
+        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-9, weight_decay=0.0)
         rec = train_epoch(model, data, cfg, opt, 1, 0.0, Rng(5))
         assert rec["train_loss"] > 0
         for name, p in model.params.items():
@@ -201,7 +201,7 @@ class TestTrainEpoch:
         for _ in range(2):
             model = toy_model(seed=3)
             opt = init_adamw(model.params)
-            cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-3, seed=0)
+            cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-3)
             recs = [
                 train_epoch(model, toy_data(), cfg, opt, epoch, 1e-3, Rng(7))["train_loss"]
                 for epoch in range(1, 4)
@@ -212,7 +212,7 @@ class TestTrainEpoch:
     def test_gradient_norm_clipped_every_step(self):
         model = toy_model()
         data = toy_data()
-        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-3, max_grad_norm=0.01, seed=0)
+        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-3, max_grad_norm=0.01)
         opt = init_adamw(model.params)
         train_epoch(model, data, cfg, opt, 1, 1e-3, Rng(9))
         # after the epoch the last batch's clipped grads are still in the store
@@ -233,7 +233,7 @@ class TestTrainEpoch:
         for max_norm, frac in ((0.01, 1.0), (1e9, 0.0)):
             seen.clear()
             model = toy_model()
-            cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-3, max_grad_norm=max_norm, seed=0)
+            cfg = TrainConfig(seq_len=6, batch_size=8, epochs=1, lr=1e-3, max_grad_norm=max_norm)
             rec = train_epoch(model, data, cfg, init_adamw(model.params), 1, 1e-3, Rng(9))
             assert len(seen) == 2
             assert rec["grad_norm_mean"] == float(np.mean(seen))
@@ -243,7 +243,7 @@ class TestTrainEpoch:
     def test_single_batch_overfit(self):
         model = toy_model(seed=11)
         ids, targets = toy_data(n=8, seed=2)
-        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=200, lr=5e-3, weight_decay=0.0, seed=0)
+        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=200, lr=5e-3, weight_decay=0.0)
         opt = init_adamw(model.params)
         rng = Rng(13)
         losses = []
@@ -259,7 +259,7 @@ class TestEvaluate:
     def test_perfect_predictor(self):
         model = toy_model(seed=11)
         ids, targets = toy_data(n=8, seed=2)
-        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=60, lr=5e-3, weight_decay=0.0, seed=0)
+        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=60, lr=5e-3, weight_decay=0.0)
         opt = init_adamw(model.params)
         rng = Rng(13)
         for epoch in range(1, 61):
@@ -272,14 +272,14 @@ class TestEvaluate:
     def test_eval_is_deterministic(self):
         model = toy_model(seed=4)
         data = toy_data(seed=5)
-        cfg = TrainConfig(seq_len=6, epochs=1, lr=1e-3, seed=0)
+        cfg = TrainConfig(seq_len=6, epochs=1, lr=1e-3)
         m1, _ = evaluate(model, data, cfg)
         m2, _ = evaluate(model, data, cfg)
         assert m1 == m2
 
     def test_empty_data_rejected(self):
         model = toy_model()
-        cfg = TrainConfig(seq_len=6, epochs=1, lr=1e-3, seed=0)
+        cfg = TrainConfig(seq_len=6, epochs=1, lr=1e-3)
         with pytest.raises(InputError):
             evaluate(model, (np.zeros((0, 6), dtype=int), np.zeros(0, dtype=int)), cfg)
 
@@ -290,7 +290,7 @@ class TestEvaluate:
                 p.value[...] = 0.0
         ids, _ = toy_data(n=20, n_classes=2, seed=7)
         targets = np.array([0, 1] * 10)
-        cfg = TrainConfig(seq_len=6, epochs=1, lr=1e-3, seed=0)
+        cfg = TrainConfig(seq_len=6, epochs=1, lr=1e-3)
         metrics, _ = evaluate(model, (ids, targets), cfg)
         assert metrics["accuracy"] == 0.5
 
@@ -347,7 +347,7 @@ class TestRunTraining:
         train = toy_data(n=24, seed=9)
         val = toy_data(n=8, seed=10)
         test = toy_data(n=8, seed=11)
-        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=3, lr=2e-3, seed=0)
+        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=3, lr=2e-3)
         report, best_state = run_training(model, train, val, test, cfg, Rng(21), {"model": "toy"})
         assert len(report.epochs) == 3
         accs = [e["val"]["accuracy"] for e in report.epochs]
@@ -361,7 +361,7 @@ class TestRunTraining:
         model = toy_model(seed=12)
         train = toy_data(n=24, seed=13)
         val = toy_data(n=8, seed=14)
-        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=4, lr=2e-3, seed=0)
+        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=4, lr=2e-3)
         report, best_state = run_training(model, train, val, val, cfg, Rng(22))
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.value, best_state[name])
@@ -374,7 +374,7 @@ class TestHeadOnly:
         rng = Rng(1)
         h = rng.normal((12, 5, 8))
         targets = (h[:, :, 0].mean(axis=1) > 0).astype(int)
-        tcfg = TrainConfig(seq_len=5, batch_size=6, epochs=100, lr=2e-2, weight_decay=0.0, seed=0)
+        tcfg = TrainConfig(seq_len=5, batch_size=6, epochs=100, lr=2e-2, weight_decay=0.0)
         opt = init_adamw(model.params)
         for epoch in range(1, 101):
             train_epoch(model, (h, targets), tcfg, opt, epoch, 2e-2, rng.child("t"))
