@@ -8,7 +8,6 @@ from .head import (
     adaptive_avg_pool,
     attention_received,
     baseline_cls_forward,
-    enrich,
     head_forward,
     init_head_params,
     make_head_state,

@@ -195,6 +195,8 @@ def encode_backward(cfg: EncoderConfig, params: ParamStore, cache: EncoderCache,
 # (u32 each for class indices, C x u8 each for multi-label rows), then
 # B*L*d finite little-endian float32 values in row-major order. B, L and d
 # are at least 1; a class index is below C and a multi-label byte is 0 or 1.
+# The payload is read in place and stays float32 in memory; the head widens
+# it to float64 where it reads it.
 
 _EMB_MAGIC = b"IEMB"
 _EMB_VERSION = 1
@@ -204,7 +206,8 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     """Write hidden states and labels; 1-D integer labels are class indices,
     a 2-D 0/1 matrix is treated as multi-label rows. Nothing is written when a
     value is not a finite float32 (``NumericError``), an extent is 0
-    (``DimensionError``) or a label lies outside the label space (``LabelError``)."""
+    (``DimensionError``), or a label is not an integer or lies outside the
+    label space (``LabelError``)."""
     h = np.asarray(h, dtype=np.float64)
     labels = np.asarray(labels)
     if h.ndim != 3 or 0 in h.shape:
@@ -216,8 +219,9 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     if not multilabel and labels.shape != (b,):
         raise DimensionError(f"label vector {labels.shape} vs ({b},)")
     limit = 2 if multilabel else n_classes
-    if not ((labels >= 0) & (labels < limit)).all():
-        raise LabelError(f"labels must lie in [0, {limit})")
+    # the integer test matters: astype below would truncate 0.7 to 0
+    if not ((labels >= 0) & (labels < limit) & (labels == np.floor(labels))).all():
+        raise LabelError(f"labels must be integers in [0, {limit})")
     payload = finite_float32(h, "hidden state")
     blob = _EMB_MAGIC + struct.pack(
         "<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes
@@ -234,28 +238,34 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
 def load_embeddings(path, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse an embedding file; returns (hidden states, labels).
 
-    The tensor is float64 in memory but carries no gradient: it enters the
-    pipeline as a frozen input. A file that breaks the layout above, or
-    whose C differs from ``n_classes`` when that is given, raises
-    :class:`~inceptive.errors.FormatError` at the failing byte offset.
+    The hidden states are the file's float32 payload as a read-only array,
+    not copied or widened; they carry no gradient, entering the pipeline as
+    a frozen input. A file that breaks the layout above, or whose C differs
+    from ``n_classes`` when that is given, raises
+    :class:`~inceptive.errors.FormatError` naming the file and the failing
+    byte offset.
     """
     with open(path, "rb") as fh:
         r = BinaryReader(fh.read())
-    r.magic(_EMB_MAGIC, "embedding-file")
-    version, b, length, d, label_kind, classes = r.unpack("<IIIIBI", "embedding header")
-    if version != _EMB_VERSION:
-        raise FormatError(f"unsupported embedding-file version {version}", 4)
-    for at, field, n in ((8, "B", b), (12, "L", length), (16, "d", d)):
-        if n == 0:
-            raise FormatError(f"embedding header field {field} is 0", at)
-    if n_classes is not None and classes != n_classes:
-        raise FormatError(f"label space C={classes} vs configured n_classes={n_classes}", 21)
-    if label_kind == 0:
-        labels = r.array("<u4", (b,), "class-index labels", limit=classes).astype(np.int64)
-    elif label_kind == 1:
-        labels = r.array("u1", (b, classes), "multi-label rows", limit=2).astype(np.float64)
-    else:
-        raise FormatError(f"unknown label kind {label_kind}", 20)
-    h = r.array("<f4", (b, length, d), "payload").astype(np.float64)
-    r.end("embedding file")
+    try:
+        r.magic(_EMB_MAGIC, "embedding-file")
+        version, b, length, d, label_kind, classes = r.unpack("<IIIIBI", "embedding header")
+        if version != _EMB_VERSION:
+            raise FormatError(f"unsupported embedding-file version {version}", 4)
+        for at, field, n in ((8, "B", b), (12, "L", length), (16, "d", d)):
+            if n == 0:
+                raise FormatError(f"embedding header field {field} is 0", at)
+        if n_classes is not None and classes != n_classes:
+            raise FormatError(f"label space C={classes} vs configured n_classes={n_classes}", 21)
+        if label_kind == 0:
+            labels = r.array("<u4", (b,), "class-index labels", limit=classes).astype(np.int64)
+        elif label_kind == 1:
+            labels = r.array("u1", (b, classes), "multi-label rows", limit=2).astype(np.float64)
+        else:
+            raise FormatError(f"unknown label kind {label_kind}", 20)
+        h = r.array("<f4", (b, length, d), "payload")
+        r.end("embedding file")
+    except FormatError as exc:  # a run reads three splits: say which file is bad
+        exc.args = (f"{path}: {exc}",)
+        raise
     return h, labels

@@ -52,7 +52,6 @@ __all__ = [
     "HeadState",
     "inception_forward",
     "inception_backward",
-    "enrich",
     "multi_head_attention",
     "adaptive_avg_pool",
     "head_forward",
@@ -233,15 +232,16 @@ def _bn_param(store: ParamStore, name: str) -> np.ndarray:
 
 
 def inception_forward(
-    cfg: ModelConfig, store: ParamStore, state: HeadState, h: np.ndarray
+    cfg: ModelConfig, store: ParamStore, state: HeadState, h: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, _InceptionCache]:
     """Four convolution branches (widths 2, 3, 5, 7), concatenated
     channel-wise in kernel order, then one batch norm and ReLU over the
     concat. Both act on each channel alone, so this is each branch
-    followed by its own norm and ReLU."""
+    followed by its own norm and ReLU. The ReLU writes into ``out`` when
+    given."""
     y = concat_features([conv1d_forward(_branch(cfg, store, k), h) for k in KERNEL_SIZES])
     z = batchnorm_apply(state.bn, _bn_param(store, "scale"), _bn_param(store, "shift"), y)
-    return relu(z), _InceptionCache(y, z)
+    return relu(z, out), _InceptionCache(y, z)
 
 
 def inception_backward(
@@ -267,17 +267,6 @@ def inception_backward(
         store.add_grad(b + "bn.scale", dgamma[cols])
         store.add_grad(b + "bn.shift", dbeta[cols])
     return dh
-
-
-def enrich(h_dropped: np.ndarray, c_map: np.ndarray) -> np.ndarray:
-    """Concatenate the incoming representation with the convolution features
-    along the feature axis; the first ``d`` channels remain the input,
-    bitwise."""
-    if h_dropped.shape[:2] != c_map.shape[:2]:
-        raise DimensionError(
-            f"batch/length mismatch: {h_dropped.shape[:2]} vs {c_map.shape[:2]}"
-        )
-    return concat_features([h_dropped, c_map])
 
 
 @dataclass
@@ -339,7 +328,8 @@ def adaptive_avg_pool(a: np.ndarray) -> np.ndarray:
 @dataclass
 class HeadPass:
     """Everything the backward pass needs, plus the staged outputs that
-    shape probes and splice tests inspect."""
+    shape probes and splice tests inspect. ``h`` is the input as given;
+    ``h_dropped`` and ``c_map`` are the two column blocks of ``r``."""
 
     h: np.ndarray
     mask: np.ndarray
@@ -357,14 +347,20 @@ class HeadPass:
 def head_forward(
     cfg: ModelConfig, store: ParamStore, state: HeadState, h: np.ndarray, rng: Rng | None = None
 ) -> HeadPass:
-    """Run the configured pipeline over hidden states ``B x L x d``."""
-    h = np.asarray(h, dtype=np.float64)
+    """Run the configured pipeline over hidden states ``B x L x d``.
+
+    The enriched features ``r`` (``B x L x d_r``, float64) are one buffer:
+    dropout writes the first ``d`` columns and the inception ReLU the last
+    ``4c``. A float32 ``h`` (frozen inputs keep the dtype of their file) is
+    widened once, in dropout's write; all arithmetic is float64.
+    """
+    h = np.asarray(h)
     if h.ndim != 3 or h.shape[2] != cfg.d:
         raise DimensionError(f"hidden states must be B x L x {cfg.d}, got {h.shape}")
     _check_store(cfg, store)
-    h_dropped, mask = dropout(state.dropout, h, rng)
-    c_map, inc_cache = inception_forward(cfg, store, state, h_dropped)
-    r = enrich(h_dropped, c_map)
+    r = np.empty(h.shape[:2] + (cfg.d_r,))
+    h_dropped, mask = dropout(state.dropout, h, rng, out=r[..., : cfg.d])
+    c_map, inc_cache = inception_forward(cfg, store, state, h_dropped, out=r[..., cfg.d :])
     if cfg.has_attention:
         # attention then mean pool, without the per-position attention output
         pooled, mha_cache = mha_mean_forward(_mha_params(store), r)
@@ -471,11 +467,11 @@ def baseline_cls_forward(
     store: ParamStore, h: np.ndarray, spec: DropoutSpec, rng: Rng | None = None
 ) -> BaselinePass:
     """Classify from the first-position representation: dropout then a
-    single affine map."""
-    h = np.asarray(h, dtype=np.float64)
+    single affine map. Only that row is read, and widened to float64."""
+    h = np.asarray(h)
     if h.ndim != 3 or h.shape[1] < 1:
         raise DimensionError(f"hidden states must be B x L x d with L >= 1, got {h.shape}")
-    first = h[:, 0, :]
+    first = np.asarray(h[:, 0, :], dtype=np.float64)
     dropped, mask = dropout(spec, first, rng)
     logits = linear(store.value("head.cls.weight"), store.value("head.cls.bias"), dropped)
     return BaselinePass(h.shape, first, mask, dropped, logits)

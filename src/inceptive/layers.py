@@ -223,8 +223,8 @@ def batchnorm_backward(
 # --- elementwise pieces --------------------------------------------------------
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -245,20 +245,28 @@ class DropoutSpec:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.rate}")
 
 
-def dropout(spec: DropoutSpec, x: np.ndarray, rng: Rng | None = None) -> tuple[np.ndarray, np.ndarray]:
+def dropout(
+    spec: DropoutSpec, x: np.ndarray, rng: Rng | None = None, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Returns (output, bool keep mask). Eval mode and rate 0 pass ``x``
-    through unchanged, consume no randomness and return an all-true mask
-    that is a zero-stride view, not a buffer.
+    through unchanged (copied into ``out`` when given), consume no
+    randomness and return an all-true mask that is a zero-stride view, not
+    a buffer.
 
     The output is ``x / (1 - rate)`` times the mask, which is bitwise
-    ``x * mask / (1 - rate)``, the sign of dropped zeros included.
+    ``x * mask / (1 - rate)``, the sign of dropped zeros included. It is
+    float64 whatever the dtype of ``x``, and is written into ``out`` when
+    given, so a float32 ``x`` is widened in that one write.
     """
     if spec.mode != "train" or spec.rate == 0.0:
+        if out is not None:
+            out[...] = x
+            x = out
         return x, np.broadcast_to(True, x.shape)
     if rng is None:
         raise ConfigError("train-mode dropout needs an Rng")
     keep = rng.random(x.shape) >= spec.rate
-    out = x / (1.0 - spec.rate)
+    out = np.divide(x, 1.0 - spec.rate, out=out, dtype=np.float64)
     out *= keep
     return out, keep
 
@@ -523,16 +531,16 @@ def mha_mean_backward(
     # weight rows: dweights[b,h,i,j] = g[b,h] . v[b,h,j] = x[b,j] . wg[b,h] = u[b,h,j],
     # the same for every row i
     u = wg @ cache.x.swapaxes(1, 2)  # (B, h, L)
-    dscores = weights * (u[:, :, None, :] - (weights @ u[..., None]))
-    dscores /= np.sqrt(d_head)
-    dq = dscores @ cache.k
-    dk = dscores.swapaxes(-1, -2) @ cache.q
-    x2 = cache.x.reshape(b * length, d_in)
     if not 0 <= dx_start < d_in:
         raise DimensionError(f"dx_start must be in [0, {d_in}), got {dx_start}")
+    # one (B, h, L, L) buffer; dq and dk are each formed where their adjoint reads them
+    dscores = u[:, :, None, :] - (weights @ u[..., None])
+    dscores *= weights
+    dscores /= np.sqrt(d_head)
+    x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros((b * length, d_in - dx_start))
-    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2, dx_start)
-    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2, dx_start)
+    dw_q = _project_heads_backward(x2, params.w_q, dscores @ cache.k, dx2, dx_start)
+    dw_k = _project_heads_backward(x2, params.w_k, dscores.swapaxes(-1, -2) @ cache.q, dx2, dx_start)
     dx = dx2.reshape(b, length, d_in - dx_start)
     dx += colsum.swapaxes(1, 2) @ wg[..., dx_start:]
     dw_v = (colsum @ cache.x).transpose(1, 2, 0) @ g_heads

@@ -107,7 +107,8 @@ class ParamStore:
         if name in self._entries:
             raise ConfigError(f"duplicate parameter name: {name}")
         value = as_tensor(value)
-        self._entries[name] = Param(value, np.zeros_like(value))
+        # np.zeros, unlike zeros_like, maps pages lazily: eval-only runs never make them resident
+        self._entries[name] = Param(value, np.zeros(value.shape))
         return value
 
     def __contains__(self, name: str) -> bool:

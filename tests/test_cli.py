@@ -338,6 +338,30 @@ class TestEmbeddingsMode:
             assert f"(byte offset {where})" in capsys.readouterr().err
             assert not evals.exists()
 
+    def test_a_bad_split_is_named(self, tmp_path, capsys):
+        from inceptive.encoder import save_embeddings
+        from inceptive.tensor import Rng
+
+        for name in ("train", "val", "test"):
+            save_embeddings(tmp_path / f"{name}.iemb", Rng(6).child(name).normal((8, 3, 8)),
+                            np.arange(8) % 4, n_classes=4)
+        val = tmp_path / "val.iemb"
+        blob = val.read_bytes()
+        at = 4 + 21 + 4 * 2  # the third class index
+        val.write_bytes(blob[:at] + np.uint32(9).tobytes() + blob[at + 4 :])
+        config = {
+            "d": 8, "c": 2, "n_heads": 2, "head_dim": 4, "dense_dim": 4, "n_classes": 4,
+            "seq_len": 3, "batch_size": 4, "epochs": 1, "lr": 0.01,
+            "train_embeddings": "train.iemb", "val_embeddings": "val.iemb",
+            "test_embeddings": "test.iemb",
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path), "--runs", "1", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{val}: out-of-range (limit 4) value 9 in class-index labels (byte offset {at})" in err
+
     def test_empty_split_is_data_error(self, tmp_path, capsys):
         from inceptive.encoder import save_embeddings
 

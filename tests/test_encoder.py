@@ -124,6 +124,17 @@ class TestEmbeddingFile:
         np.testing.assert_array_equal(h2, h.astype(np.float32).astype(np.float64))
         np.testing.assert_array_equal(labels2, labels)
 
+    def test_payload_is_the_files_float32_read_only(self, tmp_path):
+        """The hidden states come back as the float32 values on disk, not a
+        float64 copy; the head widens them where it reads them."""
+        path = tmp_path / "e.iemb"
+        for labels in (np.array([1, 0]), np.array([[1, 0, 1], [0, 1, 1]])):
+            h = Rng(2).normal((2, 5, 3))
+            save_embeddings(path, h, labels, n_classes=2 if labels.ndim == 1 else 3)
+            h2, _ = load_embeddings(path)
+            assert h2.dtype == np.float32 and not h2.flags.writeable
+            assert h2.tobytes() == h.astype("<f4").tobytes()
+
     def test_round_trip_multilabel(self, tmp_path):
         h = Rng(1).normal((3, 2, 4))
         labels = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
@@ -214,6 +225,24 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match="C=2") as err:
             load_embeddings(path, n_classes=4)
         assert err.value.offset == 21
+
+    def test_save_refuses_fractional_labels(self, tmp_path):
+        """Writing the labels as integers would truncate 0.7 to 0 and 1.9 to 1."""
+        path = tmp_path / "e.iemb"
+        for labels in ([0.7, 1.9], [1.0, 0.5], [[0.5, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.2]]):
+            with pytest.raises(LabelError, match="integers"):
+                save_embeddings(path, np.ones((2, 4, 3)), np.array(labels), n_classes=2)
+        assert not path.exists()
+        save_embeddings(path, np.ones((2, 4, 3)), np.array([1.0, 0.0]), n_classes=2)
+        assert load_embeddings(path)[1].tolist() == [1, 0]
+
+    def test_format_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "val.iemb"
+        path.write_bytes(b"NOPE" + b"\x00" * 30)
+        with pytest.raises(FormatError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: bad embedding-file magic (byte offset 0)"
+        assert err.value.offset == 0
 
     def test_save_refuses_zero_extents_and_labels_outside_the_label_space(self, tmp_path):
         path = tmp_path / "e.iemb"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from inceptive.errors import ConfigError, DimensionError, InputError, NumericError
+from inceptive.errors import ConfigError, InputError, NumericError
 from inceptive.head import (
     KERNEL_SIZES,
     ModelConfig,
@@ -9,7 +9,6 @@ from inceptive.head import (
     attention_received,
     baseline_cls_backward,
     baseline_cls_forward,
-    enrich,
     head_backward,
     head_forward,
     inception_forward,
@@ -118,23 +117,44 @@ class TestStateRoundTrip:
 
 
 class TestEnrich:
+    """``head_forward`` builds the enriched features ``r`` as one buffer: the
+    dropped-out hidden states in the first ``d`` columns, the convolution
+    features in the last ``4c``."""
+
     def test_width(self):
-        assert enrich(np.zeros((1, 2, 768)), np.zeros((1, 2, 128))).shape == (1, 2, 896)
+        cfg, store, state = build(d=768, c=32, n_heads=8, head_dim=112, dense_dim=512)
+        state.set_mode(False)
+        assert head_forward(cfg, store, state, np.zeros((1, 2, 768))).r.shape == (1, 2, 896)
 
     def test_zero_conv_map_pads_hidden(self):
-        h = Rng(0).normal((2, 3, 4))
-        r = enrich(h, np.zeros((2, 3, 2)))
-        assert np.array_equal(r[..., :4], h)
-        assert not r[..., 4:].any()
+        cfg, store, state = build()
+        state.set_mode(False)
+        for k in KERNEL_SIZES:
+            store.value(f"head.inception.branch_k{k}.weight")[...] = 0.0
+        h = Rng(0).normal((2, 3, 16))
+        r = head_forward(cfg, store, state, h).r
+        assert np.array_equal(r[..., :16], h)
+        assert not r[..., 16:].any()
 
     def test_residual_slice_bitwise(self):
-        h = Rng(1).normal((2, 3, 5))
-        c_map = Rng(2).normal((2, 3, 7))
-        assert np.array_equal(enrich(h, c_map)[..., :5], h)
+        """In train mode the first ``d`` columns are the dropout output,
+        bitwise, with a float32 input widened before the division."""
+        cfg, store, state = build(dropout_rate=0.25)
+        state.set_mode(True)
+        for dtype in (np.float64, np.float32):
+            h = Rng(1).normal((2, 3, 16)).astype(dtype)
+            hp = head_forward(cfg, store, state, h, Rng(2))
+            assert hp.r.dtype == np.float64
+            assert np.array_equal(hp.r[..., :16], h.astype(np.float64) / 0.75 * hp.mask)
+            assert np.array_equal(hp.r[..., 16:], hp.c_map)
 
-    def test_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            enrich(np.zeros((1, 2, 3)), np.zeros((1, 3, 4)))
+    @pytest.mark.parametrize("train", [True, False])
+    def test_dropped_and_conv_features_are_views_of_r(self, train):
+        cfg, store, state = build(dropout_rate=0.1)
+        state.set_mode(train)
+        hp = head_forward(cfg, store, state, Rng(3).normal((2, 5, 16)).astype(np.float32), Rng(4))
+        assert np.shares_memory(hp.r, hp.h_dropped) and np.shares_memory(hp.r, hp.c_map)
+        assert hp.h_dropped.dtype == hp.c_map.dtype == np.float64
 
 
 class TestHeadAttention:

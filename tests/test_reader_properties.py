@@ -3,9 +3,9 @@
 Start from a small valid checkpoint and small class-index and multi-label
 ``IEMB`` files, then truncate them, flip single bytes, or write arbitrary
 values into their header fields. Whatever the bytes, ``load_checkpoint`` and
-``load_embeddings`` must return finite float64 arrays (and labels inside the
-header's label space) or raise ``FormatError``; any other exception fails
-the test.
+``load_embeddings`` must return finite arrays (float64 checkpoint tensors,
+the float32 embedding payload, and labels inside the header's label space)
+or raise ``FormatError``; any other exception fails the test.
 """
 
 import math
@@ -66,7 +66,7 @@ def files(tmp_path_factory):
 
 
 def _load(path, load, blob: bytes) -> bool:
-    """True if ``blob`` loads to finite float64 arrays, False on FormatError."""
+    """True if ``blob`` loads to finite arrays, False on FormatError."""
     path.write_bytes(blob)
     try:
         out = load(path)
@@ -75,6 +75,7 @@ def _load(path, load, blob: bytes) -> bool:
         return False
     if isinstance(out, dict):
         arrays = list(out.values())
+        dtype = np.float64
     else:
         h, labels = out
         n_classes = int.from_bytes(blob[21:25], "little")
@@ -84,8 +85,9 @@ def _load(path, load, blob: bytes) -> bool:
             assert labels.shape[1] == n_classes and np.isin(labels, (0.0, 1.0)).all()
         assert labels.shape[0] == h.shape[0]
         arrays = [h]
+        dtype = np.float32
     for a in arrays:
-        assert a.dtype == np.float64 and a.size > 0 and np.isfinite(a).all()
+        assert a.dtype == dtype and a.size > 0 and np.isfinite(a).all()
     return True
 
 

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from inceptive.encoder import EncoderConfig
-from inceptive.errors import ConfigError, InputError, LabelError
+from inceptive.errors import ConfigError, DegenerateBatchError, InputError, LabelError
 from inceptive.head import ModelConfig
 from inceptive.model import HeadOnlyClassifier, SequenceClassifier
 from inceptive.tensor import ParamStore, Rng, clip_global_norm, grad_check
@@ -380,3 +382,68 @@ class TestHeadOnly:
             train_epoch(model, (h, targets), tcfg, opt, epoch, 2e-2, rng.child("t"))
         metrics, _ = evaluate(model, (h, targets), tcfg)
         assert metrics["accuracy"] == 1.0
+
+
+HEADS = [("inceptive", "full"), ("inceptive", "no_attn"), ("inceptive", "no_dense"), ("baseline", "full")]
+
+
+def _frozen_model(kind, variant, d, dropout_rate=0.1):
+    cfg = ModelConfig(d=d, c=3, n_heads=2, dense_dim=8, n_classes=3, dropout_rate=dropout_rate, variant=variant)
+    return HeadOnlyClassifier(cfg, kind, Rng(0))
+
+
+class TestFrozenFloat32Inputs:
+    """Frozen hidden states stay float32 in memory; the head widens them
+    where it reads them, so training on them is bitwise training on the
+    same values held as float64."""
+
+    @staticmethod
+    def _train(kind, variant, h):
+        model = _frozen_model(kind, variant, h.shape[2])
+        data = (h, np.arange(len(h)) % 3)
+        opt = init_adamw(model.params)
+        tcfg = TrainConfig(seq_len=h.shape[1], batch_size=len(h), lr=1e-2)
+        for epoch in range(3):
+            train_epoch(model, data, tcfg, opt, epoch, 1e-2, Rng(1))
+        model.set_mode(False)
+        state = {name: (p.value.tobytes(), p.grad.tobytes()) for name, p in model.params.items()}
+        return state, model.forward(h).logits.tobytes()
+
+    @pytest.mark.parametrize("kind,variant", HEADS)
+    @pytest.mark.parametrize("b,length", [(4, 6), (1, 5), (4, 1)])
+    def test_float32_trains_bitwise_as_float64(self, kind, variant, b, length):
+        h32 = Rng(2).normal((b, length, 8)).astype(np.float32)
+        assert self._train(kind, variant, h32) == self._train(kind, variant, h32.astype(np.float64))
+
+    @pytest.mark.parametrize("variant", ["full", "no_attn", "no_dense"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_position_still_raises_in_train_mode(self, variant, dtype):
+        model = _frozen_model("inceptive", variant, 8)
+        model.set_mode(True)
+        with pytest.raises(DegenerateBatchError):
+            model.forward(np.ones((1, 1, 8), dtype=dtype), Rng(3))
+
+    def test_train_step_peak_memory(self):
+        """Traced peak of one train step (forward, loss, backward) at
+        B=8, L=64, d=96: no higher for float32 input than for float64, and
+        at most 11.5 (B, L, d_r) float64 tensors. Holding the input twice
+        (a float64 copy and the enriched buffer) or both attention
+        adjoint temporaries at once exceeds it."""
+        cfg = ModelConfig(d=96, c=8, n_heads=4, dense_dim=32, n_classes=3, dropout_rate=0.1)
+        unit = 8 * 64 * cfg.d_r * 8
+        peaks = {}
+        for dtype in (np.float64, np.float32):
+            model = HeadOnlyClassifier(cfg, "inceptive", Rng(0))
+            model.set_mode(True)
+            h = Rng(1).normal((8, 64, 96)).astype(dtype)
+            tracemalloc.start()
+            try:
+                mp = model.forward(h, Rng(2))
+                _, dlogits = softmax_cross_entropy(mp.logits, np.arange(8) % 3)
+                model.params.zero_grads()
+                model.backward(mp, dlogits)
+                del mp, dlogits
+                peaks[dtype] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[np.float32] <= peaks[np.float64] <= 11.5 * unit, {k.__name__: v / unit for k, v in peaks.items()}
