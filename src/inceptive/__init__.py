@@ -3,11 +3,10 @@ embeddings, implemented in numpy with explicit backward passes."""
 
 from .encoder import EncoderConfig, encode, embed, load_embeddings, save_embeddings
 from .head import (
-    AttentionMap,
+    BaselineHead,
     ModelConfig,
     adaptive_avg_pool,
     attention_received,
-    baseline_cls_forward,
     head_forward,
     init_head_params,
     make_head_state,

@@ -19,7 +19,7 @@ from .encoder import EncoderConfig, load_embeddings
 from .errors import ConfigError, DimensionError, InputError
 from .head import ModelConfig, received_entropy, write_attention_csv, write_attention_pgm
 from .metrics import wilcoxon_signed_rank
-from .model import HeadOnlyClassifier, SequenceClassifier
+from .model import SequenceClassifier
 from .tensor import Rng, load_checkpoint, save_checkpoint
 from .training import (
     TrainConfig,
@@ -169,9 +169,7 @@ def load_data(settings: RunSettings, splits: tuple[str, ...] = _SPLITS) -> DataB
 
 def build_model(settings: RunSettings, bundle: DataBundle, kind: str, variant: str, rng: Rng):
     cfg = settings.model_config(variant)
-    if bundle.head_only:
-        return HeadOnlyClassifier(cfg, kind, rng)
-    enc_cfg = EncoderConfig(
+    enc_cfg = None if bundle.head_only else EncoderConfig(
         vocab_size=max(bundle.vocab.values()) + 1,
         d=cfg.d,
         n_layers=settings.encoder["enc_layers"],

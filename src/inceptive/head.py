@@ -6,7 +6,9 @@ classifier.
 Two ablation variants remove exactly one named stage each (``no_attn``
 pools the enriched features directly; ``no_dense`` classifies the pooled
 attention output directly), and a first-token baseline head serves as the
-conventional comparator.
+conventional comparator. Both heads share one interface (``forward``,
+``backward``, ``set_mode``, ``buffers``, ``load_buffers``); :func:`make_head`
+builds either.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ __all__ = [
     "KERNEL_SIZES",
     "VARIANTS",
     "ModelConfig",
-    "AttentionMap",
     "init_head_params",
     "make_head_state",
+    "make_head",
     "HeadState",
     "inception_forward",
     "inception_backward",
@@ -58,8 +60,7 @@ __all__ = [
     "head_backward",
     "HeadPass",
     "init_baseline_params",
-    "baseline_cls_forward",
-    "baseline_cls_backward",
+    "BaselineHead",
     "BaselinePass",
     "attention_received",
     "received_entropy",
@@ -166,12 +167,26 @@ def init_head_params(cfg: ModelConfig, rng: Rng, store: ParamStore | None = None
 
 @dataclass
 class HeadState:
-    """Non-parameter state: batch-norm running statistics over the ``4c``
-    concatenated branch channels and the dropout applied to the incoming
-    hidden states."""
+    """The enrichment head over ``store`` (:func:`head_forward`,
+    :func:`head_backward`) with its batch-norm running statistics over the
+    ``4c`` branch channels and the dropout applied to the hidden states."""
 
+    cfg: ModelConfig
+    store: ParamStore
     bn: BatchNormState
     dropout: DropoutSpec
+
+    def forward(self, h: np.ndarray, rng: Rng | None = None) -> HeadPass:
+        return head_forward(self.cfg, self.store, self, h, rng)
+
+    def backward(self, hp: HeadPass, dlogits: np.ndarray, need_input_grad: bool = True) -> np.ndarray | None:
+        return head_backward(self.cfg, self.store, self, hp, dlogits, need_input_grad)
+
+    def received(self, hp: HeadPass) -> np.ndarray:
+        """The received-attention map, computed from the forward's weight rows."""
+        if not self.cfg.has_attention:
+            raise ConfigError(f"variant {self.cfg.variant!r} has no attention to export")
+        return attention_received(hp.mha.weights)
 
     def set_mode(self, train: bool) -> None:
         mode = "train" if train else "eval"
@@ -182,7 +197,7 @@ class HeadState:
         """Running statistics under each branch's checkpoint name; each value
         is a view of that branch's channel slice."""
         out = {}
-        for k, cols in _branch_columns(self.bn.running_mean.shape[0] // len(KERNEL_SIZES)):
+        for k, cols in _branch_columns(self.cfg.c):
             b = _branch_name(k)
             out[b + "bn.running_mean"] = self.bn.running_mean[cols]
             out[b + "bn.running_var"] = self.bn.running_var[cols]
@@ -200,10 +215,21 @@ class HeadState:
 
 
 def make_head_state(cfg: ModelConfig, store: ParamStore) -> HeadState:
-    """Fresh running statistics (mean 0, variance 1) and the dropout spec.
-    Both depend on ``cfg`` alone; ``store`` is not read."""
-    channels = 4 * cfg.c
-    return HeadState(BatchNormState(np.zeros(channels), np.ones(channels)), DropoutSpec(cfg.dropout_rate))
+    """The enrichment head over ``store``, with fresh running statistics
+    (mean 0, variance 1)."""
+    bn = BatchNormState(np.zeros(4 * cfg.c), np.ones(4 * cfg.c))
+    return HeadState(cfg, store, bn, DropoutSpec(cfg.dropout_rate))
+
+
+def make_head(kind: str, cfg: ModelConfig, rng: Rng, store: ParamStore) -> HeadState | BaselineHead:
+    """Add the parameters of head ``kind`` to ``store`` and return the head."""
+    if kind == "inceptive":
+        init_head_params(cfg, rng, store)
+        return make_head_state(cfg, store)
+    if kind == "baseline":
+        init_baseline_params(cfg.d, cfg.n_classes, rng, store)
+        return BaselineHead(store, DropoutSpec(cfg.dropout_rate))
+    raise ConfigError(f"model kind must be one of ('inceptive', 'baseline'), got {kind!r}")
 
 
 def _branch_name(k: int) -> str:
@@ -269,16 +295,9 @@ def inception_backward(
     return dh
 
 
-@dataclass
-class AttentionMap:
+def attention_received(weights: np.ndarray) -> np.ndarray:
     """Attention mass landing on each key position, averaged over heads and
-    query positions; one probability row per example."""
-
-    received: np.ndarray  # (B, L)
-
-
-def attention_received(weights: np.ndarray) -> AttentionMap:
-    """Average probability rows over heads and queries.
+    query positions: one ``(B, L)`` probability row per example.
 
     Every input row must already sum to 1 (checked to 1e-6); the averaged
     row then sums to 1 as well. Non-finite weights (from non-finite
@@ -292,7 +311,7 @@ def attention_received(weights: np.ndarray) -> AttentionMap:
         raise NumericError("attention weights are not finite")
     if np.abs(sums - 1.0).max() > 1e-6:
         raise InputError("attention rows are not normalized")
-    return AttentionMap(weights.mean(axis=(1, 2)))
+    return weights.mean(axis=(1, 2))
 
 
 def received_entropy(received: np.ndarray) -> np.ndarray:
@@ -309,7 +328,7 @@ def _mha_params(store: ParamStore) -> MhaParams:
 
 def multi_head_attention(
     cfg: ModelConfig, store: ParamStore, r: np.ndarray
-) -> tuple[np.ndarray, AttentionMap, MhaCache]:
+) -> tuple[np.ndarray, np.ndarray, MhaCache]:
     """Per-position self-attention over the enriched features; also returns
     the received map computed from the pre-projection weight rows. The head
     itself only needs the pooled output (:func:`mha_mean_forward`)."""
@@ -457,41 +476,53 @@ def init_baseline_params(d: int, n_classes: int, rng: Rng, store: ParamStore | N
 @dataclass
 class BaselinePass:
     h_shape: tuple[int, ...]
-    first: np.ndarray
     mask: np.ndarray
     dropped: np.ndarray
     logits: np.ndarray
 
 
-def baseline_cls_forward(
-    store: ParamStore, h: np.ndarray, spec: DropoutSpec, rng: Rng | None = None
-) -> BaselinePass:
-    """Classify from the first-position representation: dropout then a
-    single affine map. Only that row is read, and widened to float64."""
-    h = np.asarray(h)
-    if h.ndim != 3 or h.shape[1] < 1:
-        raise DimensionError(f"hidden states must be B x L x d with L >= 1, got {h.shape}")
-    first = np.asarray(h[:, 0, :], dtype=np.float64)
-    dropped, mask = dropout(spec, first, rng)
-    logits = linear(store.value("head.cls.weight"), store.value("head.cls.bias"), dropped)
-    return BaselinePass(h.shape, first, mask, dropped, logits)
+@dataclass
+class BaselineHead:
+    """Classifies from the first-position representation: dropout then a
+    single affine map. It has no buffers and no attention of its own."""
 
+    store: ParamStore
+    dropout: DropoutSpec
 
-def baseline_cls_backward(
-    store: ParamStore, spec: DropoutSpec, bp: BaselinePass, dlogits: np.ndarray, need_input_grad: bool = True
-) -> np.ndarray | None:
-    """Accumulate the classifier gradients; returns the gradient w.r.t. the
-    hidden states, or ``None`` without forming it when ``need_input_grad``
-    is off."""
-    ddropped, dw, db = linear_backward(store.value("head.cls.weight"), bp.dropped, dlogits)
-    store.add_grad("head.cls.weight", dw)
-    store.add_grad("head.cls.bias", db)
-    if not need_input_grad:
-        return None
-    dfirst = dropout_backward(spec, bp.mask, ddropped)
-    dh = np.zeros(bp.h_shape)
-    dh[:, 0, :] = dfirst
-    return dh
+    def set_mode(self, train: bool) -> None:
+        self.dropout.mode = "train" if train else "eval"
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def load_buffers(self, values: dict[str, np.ndarray]) -> None:
+        pass
+
+    def forward(self, h: np.ndarray, rng: Rng | None = None) -> BaselinePass:
+        """Only the first row is read, and widened to float64."""
+        h = np.asarray(h)
+        if h.ndim != 3 or h.shape[1] < 1:
+            raise DimensionError(f"hidden states must be B x L x d with L >= 1, got {h.shape}")
+        first = np.asarray(h[:, 0, :], dtype=np.float64)
+        dropped, mask = dropout(self.dropout, first, rng)
+        logits = linear(self.store.value("head.cls.weight"), self.store.value("head.cls.bias"), dropped)
+        return BaselinePass(h.shape, mask, dropped, logits)
+
+    def backward(
+        self, bp: BaselinePass, dlogits: np.ndarray, need_input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Accumulate the classifier gradients; returns the gradient w.r.t.
+        the hidden states, or ``None`` without forming it when
+        ``need_input_grad`` is off."""
+        ddropped, dw, db = linear_backward(self.store.value("head.cls.weight"), bp.dropped, dlogits)
+        self.store.add_grad("head.cls.weight", dw)
+        self.store.add_grad("head.cls.bias", db)
+        if not need_input_grad:
+            return None
+        dfirst = dropout_backward(self.dropout, bp.mask, ddropped)
+        dh = np.zeros(bp.h_shape)
+        dh[:, 0, :] = dfirst
+        return dh
 
 
 # --- diagnostics ----------------------------------------------------------------
@@ -500,10 +531,9 @@ def baseline_cls_backward(
 def shape_probe(cfg: ModelConfig, batch: int = 2, length: int = 8, seed: int = 0) -> dict[str, tuple]:
     """Run a forward pass on random input and report each stage's shape."""
     rng = Rng(seed)
-    store = init_head_params(cfg, rng.child("params"))
-    state = make_head_state(cfg, store)
-    state.set_mode(False)
-    hp = head_forward(cfg, store, state, rng.child("input").normal((batch, length, cfg.d)))
+    head = make_head("inceptive", cfg, rng.child("params"), ParamStore())
+    head.set_mode(False)
+    hp = head.forward(rng.child("input").normal((batch, length, cfg.d)))
     shapes = {
         "hidden": hp.h.shape,
         "conv_concat": hp.c_map.shape,
@@ -513,7 +543,7 @@ def shape_probe(cfg: ModelConfig, batch: int = 2, length: int = 8, seed: int = 0
     }
     if cfg.has_attention:
         # the head pools attention without forming it; the per-position form shows its shape
-        shapes["attended"] = multi_head_attention(cfg, store, hp.r)[0].shape
+        shapes["attended"] = multi_head_attention(cfg, head.store, hp.r)[0].shape
     if hp.dense_out is not None:
         shapes["dense"] = hp.dense_out.shape
     return shapes

@@ -1,9 +1,10 @@
 """Differentiable building blocks with explicit forward and backward passes.
 
 There is no autodiff tape: every operation ships its own adjoint, and the
-model modules chain them by hand. Backward functions recompute cheap
-intermediates from the saved inputs rather than carrying opaque caches, so
-each pair is usable standalone and checkable with
+model modules chain them by hand. Most backward functions take the forward's
+inputs and recompute cheap intermediates. The attention adjoints take the
+forward's cache (:class:`MhaCache`, :class:`MhaMeanCache`) and dropout's
+adjoint takes its mask. Each pair is checkable with
 :func:`inceptive.tensor.grad_check`.
 
 Shapes follow the batch-first convention ``B x L x features`` throughout.

@@ -220,11 +220,11 @@ def train_epoch(
     order = rng.child("shuffle", epoch).permutation(len(inputs))
     no_decay = _no_decay_names(model.params)
     losses, norms = [], []
-    n_classes = model.n_classes
+    n_classes = model.cfg.n_classes
     for start in range(0, len(order), cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
         mp = model.forward(inputs[idx], rng.child("dropout", epoch, start))
-        loss, dlogits = _loss_and_scores(model.task, mp.logits, targets[idx], n_classes)
+        loss, dlogits = _loss_and_scores(model.cfg.task, mp.logits, targets[idx], n_classes)
         model.params.zero_grads()
         model.backward(mp, dlogits)
         norms.append(clip_global_norm(model.params, cfg.max_grad_norm))
@@ -259,8 +259,8 @@ def evaluate(model, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig) -> tu
         elapsed += time.perf_counter() - t0
         chunks.append(mp.logits)
     logits = np.concatenate(chunks, axis=0)
-    scores = task_scores(model.task, logits)
-    multilabel = model.task == "multi-label"
+    scores = task_scores(model.cfg.task, logits)
+    multilabel = model.cfg.task == "multi-label"
     pred = PredictionSet.from_scores(scores, targets, multilabel, cfg.sigmoid_threshold)
     p_mi, r_mi, f_mi = precision_recall_f1(pred, "micro")
     p_ma, r_ma, f_ma = precision_recall_f1(pred, "macro")

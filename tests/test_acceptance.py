@@ -152,7 +152,7 @@ def test_05_attention_normalization():
         r = rng.child("r", case).normal((2, 7, cfg.d_r)) * (1 + case)
         _, amap, cache = multi_head_attention(cfg, store, r)
         worst_row = max(worst_row, float(np.abs(cache.weights.sum(axis=-1) - 1).max()))
-        worst_received = max(worst_received, float(np.abs(amap.received.sum(axis=-1) - 1).max()))
+        worst_received = max(worst_received, float(np.abs(amap.sum(axis=-1) - 1).max()))
     ok = worst_row < 1e-9 and worst_received < 1e-9
     report(5, "attention-normalization", ok,
            f"row dev {worst_row:.1e}, received dev {worst_received:.1e}")

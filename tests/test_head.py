@@ -4,11 +4,10 @@ import pytest
 from inceptive.errors import ConfigError, InputError, NumericError
 from inceptive.head import (
     KERNEL_SIZES,
+    BaselineHead,
     ModelConfig,
     adaptive_avg_pool,
     attention_received,
-    baseline_cls_backward,
-    baseline_cls_forward,
     head_backward,
     head_forward,
     inception_forward,
@@ -164,7 +163,7 @@ class TestHeadAttention:
         store.value("head.attn.w_k")[...] = 0.0
         r = Rng(4).normal((1, 5, cfg.d_r))
         a, amap, _ = multi_head_attention(cfg, store, r)
-        np.testing.assert_allclose(amap.received, 1.0 / 5)
+        np.testing.assert_allclose(amap, 1.0 / 5)
         # out rows equal the mean token of r sent through values and the projection
         v = np.einsum("ld,hde->hle", r[0], store.value("head.attn.w_v"))
         mean_v = v.mean(axis=1)
@@ -175,7 +174,7 @@ class TestHeadAttention:
         cfg, store, state = build()
         r = Rng(5).normal((2, 1, cfg.d_r))
         a, amap, _ = multi_head_attention(cfg, store, r)
-        np.testing.assert_allclose(amap.received, 1.0)
+        np.testing.assert_allclose(amap, 1.0)
 
     def test_matches_two_head_oracle(self):
         cfg, store, _ = build(d=0 + 16, c=4, n_heads=2, head_dim=2)
@@ -198,7 +197,7 @@ class TestHeadAttention:
         r = Rng(7).normal((2, 6, cfg.d_r)) * 5
         _, amap, cache = multi_head_attention(cfg, store, r)
         np.testing.assert_allclose(cache.weights.sum(axis=-1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(amap.received.sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(amap.sum(axis=-1), 1.0, atol=1e-9)
 
 
 class TestPooling:
@@ -286,7 +285,7 @@ class TestHeadForward:
         attended, amap, _ = multi_head_attention(cfg, store, hp.r)
         want = adaptive_avg_pool(attended)
         assert np.abs(hp.pooled - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(attention_received(hp.mha.weights).received, amap.received)
+        assert np.array_equal(attention_received(hp.mha.weights), amap)
 
     def test_mismatched_variant_store_rejected(self):
         cfg_nd, store_nd, state_nd = build("no_dense")
@@ -329,7 +328,7 @@ def _grads_both_ways(kind, cfg, b, length, seed=0):
     out = []
     for need in (True, False):
         model.params.zero_grads()
-        dh = model._head_backward(mp.head, dlogits, need)
+        dh = model.head.backward(mp.head, dlogits, need)
         out.append((dh, {name: p.grad.copy() for name, p in model.params.items()}))
     return out
 
@@ -373,7 +372,7 @@ class TestFrozenInputBackward:
         model.backward(mp, dlogits)
         assert any(p.grad.any() for _, p in model.params.items())
         with pytest.raises(AssertionError, match="dropout_backward called"):
-            model._head_backward(mp.head, dlogits, True)
+            model.head.backward(mp.head, dlogits, True)
 
 
 class TestBaselineHead:
@@ -381,31 +380,31 @@ class TestBaselineHead:
         store = init_baseline_params(4, 3, Rng(0))
         spec = DropoutSpec(0.0, mode="eval")
         h = Rng(1).normal((2, 5, 4))
-        bp = baseline_cls_forward(store, h, spec)
+        bp = BaselineHead(store, spec).forward(h)
         expect = h[:, 0, :] @ store.value("head.cls.weight") + store.value("head.cls.bias")
         np.testing.assert_allclose(bp.logits, expect)
         h2 = h.copy()
         h2[:, 1:, :] = 0.0
-        np.testing.assert_allclose(baseline_cls_forward(store, h2, spec).logits, bp.logits)
+        np.testing.assert_allclose(BaselineHead(store, spec).forward(h2).logits, bp.logits)
 
     def test_zero_weights_zero_logits(self):
         store = init_baseline_params(4, 2, Rng(0))
         store.value("head.cls.weight")[...] = 0.0
-        bp = baseline_cls_forward(store, Rng(1).normal((3, 2, 4)), DropoutSpec(0.0, mode="eval"))
+        bp = BaselineHead(store, DropoutSpec(0.0, mode="eval")).forward(Rng(1).normal((3, 2, 4)))
         assert not bp.logits.any()
 
     def test_shape_contract(self):
         store = init_baseline_params(8, 5, Rng(0))
         for length in (1, 3, 17):
-            bp = baseline_cls_forward(store, Rng(1).normal((4, length, 8)), DropoutSpec(0.0, "eval"))
+            bp = BaselineHead(store, DropoutSpec(0.0, "eval")).forward(Rng(1).normal((4, length, 8)))
             assert bp.logits.shape == (4, 5)
 
     def test_backward_touches_only_first_position(self):
         store = init_baseline_params(4, 2, Rng(0))
-        spec = DropoutSpec(0.0, mode="eval")
-        bp = baseline_cls_forward(store, Rng(1).normal((2, 5, 4)), spec)
+        head = BaselineHead(store, DropoutSpec(0.0, mode="eval"))
+        bp = head.forward(Rng(1).normal((2, 5, 4)))
         store.zero_grads()
-        dh = baseline_cls_backward(store, spec, bp, np.ones((2, 2)))
+        dh = head.backward(bp, np.ones((2, 2)))
         assert dh[:, 0, :].any()
         assert not dh[:, 1:, :].any()
 
@@ -414,20 +413,20 @@ class TestAttentionReceived:
     def test_uniform_weights(self):
         w = np.full((1, 2, 4, 4), 0.25)
         amap = attention_received(w)
-        np.testing.assert_allclose(amap.received, 0.25)
+        np.testing.assert_allclose(amap, 0.25)
 
     def test_point_mass_on_first_token(self):
         w = np.zeros((1, 2, 3, 3))
         w[..., 0] = 1.0
         amap = attention_received(w)
-        np.testing.assert_allclose(amap.received[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(amap[0], [1.0, 0.0, 0.0])
 
     def test_two_head_hand_average(self):
         w = np.zeros((1, 2, 2, 2))
         w[0, 0] = [[1.0, 0.0], [0.0, 1.0]]
         w[0, 1] = [[0.5, 0.5], [0.25, 0.75]]
         amap = attention_received(w)
-        np.testing.assert_allclose(amap.received[0], [(1 + 0 + 0.5 + 0.25) / 4, (0 + 1 + 0.5 + 0.75) / 4])
+        np.testing.assert_allclose(amap[0], [(1 + 0 + 0.5 + 0.25) / 4, (0 + 1 + 0.5 + 0.75) / 4])
 
     def test_non_normalized_rows_rejected(self):
         w = np.full((1, 1, 2, 2), 0.3)
@@ -447,7 +446,7 @@ class TestAttentionReceived:
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
         amap = attention_received(w)
-        np.testing.assert_allclose(amap.received.sum(axis=-1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(amap.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_entropy_extremes(self):
         uniform = np.full((1, 4), 0.25)

@@ -446,3 +446,60 @@ class TestFrozenFloat32Inputs:
             finally:
                 tracemalloc.stop()
         assert peaks[np.float32] <= peaks[np.float64] <= 11.5 * unit, {k.__name__: v / unit for k, v in peaks.items()}
+
+
+class TestZeroVarianceBatch:
+    """All-zero hidden states make every convolution output 0, so each
+    concat channel's batch variance is exactly 0 and batch norm divides by
+    its epsilon alone. A train step must stay finite."""
+
+    @pytest.mark.parametrize("variant", ["full", "no_attn", "no_dense"])
+    def test_train_step_on_zero_inputs_is_finite(self, variant):
+        model = _frozen_model("inceptive", variant, 8)
+        model.set_mode(True)
+        mp = model.forward(np.zeros((4, 6, 8)), Rng(3))
+        assert not mp.head.inception.conv_out.any()
+        assert np.isfinite(mp.logits).all()
+        _, dlogits = softmax_cross_entropy(mp.logits, np.arange(4) % 3)
+        model.params.zero_grads()
+        model.backward(mp, dlogits)
+        assert np.isfinite(clip_global_norm(model.params, 1.0))
+        for name, value in model.head.buffers().items():
+            assert np.isfinite(value).all(), name
+
+
+ENCODER_NAMES = [
+    "encoder.tok_embed", "encoder.pos_embed",
+    "encoder.block0.ln1.scale", "encoder.block0.ln1.shift",
+    "encoder.block0.attn.w_q", "encoder.block0.attn.w_k", "encoder.block0.attn.w_v", "encoder.block0.attn.w_o",
+    "encoder.block0.ln2.scale", "encoder.block0.ln2.shift",
+    "encoder.block0.ffn.w1", "encoder.block0.ffn.b1", "encoder.block0.ffn.w2", "encoder.block0.ffn.b2",
+]
+BRANCH_NAMES = [f"head.inception.branch_k{k}.{p}" for k in (2, 3, 5, 7) for p in ("weight", "bn.scale", "bn.shift")]
+ATTN_NAMES = ["head.attn.w_q", "head.attn.w_k", "head.attn.w_v", "head.attn.w_o"]
+DENSE_NAMES = ["head.dense.weight", "head.dense.bias", "head.dense.ln.scale", "head.dense.ln.shift"]
+CLASSIFIER_NAMES = ["head.classifier.weight", "head.classifier.bias"]
+BUFFER_NAMES = [f"head.inception.branch_k{k}.bn.{s}" for k in (2, 3, 5, 7) for s in ("running_mean", "running_var")]
+HEAD_ORDER = {
+    ("inceptive", "full"): BRANCH_NAMES + ATTN_NAMES + DENSE_NAMES + CLASSIFIER_NAMES + BUFFER_NAMES,
+    ("inceptive", "no_attn"): BRANCH_NAMES + DENSE_NAMES + CLASSIFIER_NAMES + BUFFER_NAMES,
+    ("inceptive", "no_dense"): BRANCH_NAMES + ATTN_NAMES + CLASSIFIER_NAMES + BUFFER_NAMES,
+    ("baseline", "full"): ["head.cls.weight", "head.cls.bias"],
+}
+
+
+class TestStateTensorOrder:
+    """Checkpoint bytes and ``clip_global_norm``'s summation order follow
+    ``state_tensors()``'s key order: encoder parameters, then head
+    parameters in init order, then the batch-norm buffers."""
+
+    @pytest.mark.parametrize("kind,variant", HEADS)
+    def test_token_model_order(self, kind, variant):
+        enc = EncoderConfig(vocab_size=12, d=8, n_layers=1, n_heads=2, ffn_size=8, max_len=6)
+        cfg = ModelConfig(d=8, c=2, n_heads=2, head_dim=4, dense_dim=4, n_classes=3, variant=variant)
+        model = SequenceClassifier(enc, cfg, kind, Rng(0))
+        assert list(model.state_tensors()) == ENCODER_NAMES + HEAD_ORDER[kind, variant]
+
+    @pytest.mark.parametrize("kind,variant", HEADS)
+    def test_frozen_model_order(self, kind, variant):
+        assert list(_frozen_model(kind, variant, 8).state_tensors()) == HEAD_ORDER[kind, variant]
