@@ -114,7 +114,8 @@ def _cmd_stats(args) -> None:
     result = run_stats(args.scores_a, args.scores_b)
     print(f"W = {result['W']}")
     print(f"p = {result['p']}")
-    print(f"gain = {result['gain_percent']:+.2f}%")
+    gain = result["gain_percent"]
+    print("gain = undefined" if gain is None else f"gain = {gain:+.2f}%")
 
 
 _DISPATCH = {

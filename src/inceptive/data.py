@@ -74,11 +74,18 @@ def save_vocab(path, vocab: dict[str, int]) -> None:
 
 
 def load_vocab(path) -> dict[str, int]:
+    """Token to id; the ids must be the distinct integers ``0..n-1``."""
     with open(path, encoding="utf-8") as fh:
-        vocab = json.load(fh)
+        try:
+            vocab = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"vocabulary file {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(vocab, dict):
         raise InputError(f"vocabulary file {path} must hold a JSON object")
-    return {str(k): int(v) for k, v in vocab.items()}
+    ids = sorted(v for v in vocab.values() if type(v) is int)
+    if not ids or ids != list(range(len(vocab))):
+        raise InputError(f"vocabulary file {path}: ids must be the distinct integers 0..{len(vocab) - 1}")
+    return vocab
 
 
 def save_jsonl(path, records: list[dict]) -> None:
@@ -87,38 +94,46 @@ def save_jsonl(path, records: list[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+def _jsonl_records(path):
+    """Each non-blank line's number and its JSON object; a line that is not
+    UTF-8 JSON or not an object raises ``InputError`` at ``path:line``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    return records
+                rec = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise InputError(f"{path}:{lineno}: invalid UTF-8 JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise InputError(f"{path}:{lineno}: record must be a JSON object")
+            yield lineno, rec
+
+
+def load_jsonl(path) -> list[dict]:
+    return [rec for _, rec in _jsonl_records(path)]
 
 
 def load_dataset(path, n_classes: int, multilabel: bool) -> list[dict]:
-    """Load and validate records against the configured label space."""
-    records = load_jsonl(path)
-    for lineno, rec in enumerate(records, start=1):
-        if "text" not in rec:
-            raise InputError(f"{path}:{lineno}: record lacks a text field")
+    """Load and validate records against the configured label space; errors
+    name the file's line."""
+    records = []
+    for lineno, rec in _jsonl_records(path):
+        if not isinstance(rec.get("text"), str):
+            raise InputError(f"{path}:{lineno}: record needs a string text field")
         if multilabel:
             labels = rec.get("labels")
-            if not isinstance(labels, list):
-                raise InputError(f"{path}:{lineno}: multi-label record needs a labels list")
+            if not isinstance(labels, list) or any(type(v) is not int for v in labels):
+                raise InputError(f"{path}:{lineno}: multi-label record needs a list of int labels")
             if labels != sorted(set(labels)):
                 raise InputError(f"{path}:{lineno}: labels must be duplicate-free and sorted")
             if labels and (min(labels) < 0 or max(labels) >= n_classes):
                 raise InputError(f"{path}:{lineno}: label outside [0, {n_classes})")
         else:
             label = rec.get("label")
-            if not isinstance(label, int) or not 0 <= label < n_classes:
+            if type(label) is not int or not 0 <= label < n_classes:
                 raise InputError(f"{path}:{lineno}: label must be an int in [0, {n_classes})")
+        records.append(rec)
     return records
 
 

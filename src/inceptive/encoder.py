@@ -50,10 +50,12 @@ class EncoderConfig:
     max_len: int = 128
 
     def __post_init__(self):
+        if self.n_heads < 1 or self.n_layers < 0:
+            raise ConfigError(f"need n_heads >= 1 and n_layers >= 0, got {self.n_heads} and {self.n_layers}")
         if self.d % self.n_heads != 0:
             raise ConfigError(f"hidden size {self.d} not divisible by {self.n_heads} heads")
-        if self.vocab_size < 1 or self.max_len < 1:
-            raise ConfigError("vocab_size and max_len must be positive")
+        if self.vocab_size < 1 or self.max_len < 1 or self.ffn_size < 1:
+            raise ConfigError("vocab_size, max_len and ffn_size must be positive")
 
     @property
     def head_dim(self) -> int:
@@ -106,10 +108,11 @@ def embed_backward(cfg: EncoderConfig, params: ParamStore, ids: np.ndarray, dx: 
 
 @dataclass
 class _BlockCache:
-    x_in: np.ndarray
+    ln1: tuple[np.ndarray, np.ndarray]  # layer norm caches
     mha: MhaCache
-    x_mid: np.ndarray
-    f1: np.ndarray  # pre-activation of the first feed-forward layer
+    ln2: tuple[np.ndarray, np.ndarray]
+    n2: np.ndarray  # input of the first feed-forward layer
+    hidden: np.ndarray  # its ReLU output, input of the second
 
 
 @dataclass
@@ -124,29 +127,18 @@ class EncoderCache:
         return self.blocks[-1].mha.weights
 
 
-def _block_params(params: ParamStore, b: str) -> MhaParams:
-    return MhaParams(
-        params.value(b + "attn.w_q"),
-        params.value(b + "attn.w_k"),
-        params.value(b + "attn.w_v"),
-        params.value(b + "attn.w_o"),
-    )
-
-
 def encode_forward(cfg: EncoderConfig, params: ParamStore, x: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
     """Run the pre-norm block stack; zero layers passes the input through."""
     caches = []
     for i in range(cfg.n_layers):
         b = f"encoder.block{i}."
-        x_in = x
-        n1 = layer_norm(params.value(b + "ln1.scale"), params.value(b + "ln1.shift"), x_in)
-        attn_out, mha_cache = mha_forward(_block_params(params, b), n1)
-        x_mid = x_in + attn_out
-        n2 = layer_norm(params.value(b + "ln2.scale"), params.value(b + "ln2.shift"), x_mid)
-        f1 = linear(params.value(b + "ffn.w1"), params.value(b + "ffn.b1"), n2)
-        f2 = linear(params.value(b + "ffn.w2"), params.value(b + "ffn.b2"), relu(f1))
-        x = x_mid + f2
-        caches.append(_BlockCache(x_in, mha_cache, x_mid, f1))
+        n1, ln1 = layer_norm(params.value(b + "ln1.scale"), params.value(b + "ln1.shift"), x)
+        attn_out, mha_cache = mha_forward(MhaParams.read(params, b + "attn."), n1)
+        x_mid = x + attn_out
+        n2, ln2 = layer_norm(params.value(b + "ln2.scale"), params.value(b + "ln2.shift"), x_mid)
+        hidden = relu(linear(params.value(b + "ffn.w1"), params.value(b + "ffn.b1"), n2))
+        x = x_mid + linear(params.value(b + "ffn.w2"), params.value(b + "ffn.b2"), hidden)
+        caches.append(_BlockCache(ln1, mha_cache, ln2, n2, hidden))
     return x, EncoderCache(caches)
 
 
@@ -162,12 +154,10 @@ def encode_backward(cfg: EncoderConfig, params: ParamStore, cache: EncoderCache,
         b = f"encoder.block{i}."
         blk = cache.blocks[i]
         # feed-forward residual: x = x_mid + ffn(ln2(x_mid))
-        n2 = layer_norm(params.value(b + "ln2.scale"), params.value(b + "ln2.shift"), blk.x_mid)
-        r = relu(blk.f1)
-        dr, dw2, db2 = linear_backward(params.value(b + "ffn.w2"), r, dx)
-        df1 = relu_backward(blk.f1, dr)
-        dn2, dw1, db1 = linear_backward(params.value(b + "ffn.w1"), n2, df1)
-        dx_mid_ln, dg2, db2ln = layer_norm_backward(params.value(b + "ln2.scale"), blk.x_mid, dn2)
+        dhidden, dw2, db2 = linear_backward(params.value(b + "ffn.w2"), blk.hidden, dx)
+        df1 = relu_backward(blk.hidden, dhidden)
+        dn2, dw1, db1 = linear_backward(params.value(b + "ffn.w1"), blk.n2, df1)
+        dx_mid_ln, dg2, db2ln = layer_norm_backward(params.value(b + "ln2.scale"), blk.ln2, dn2)
         dx_mid = dx + dx_mid_ln
         params.add_grad(b + "ffn.w2", dw2)
         params.add_grad(b + "ffn.b2", db2)
@@ -176,13 +166,10 @@ def encode_backward(cfg: EncoderConfig, params: ParamStore, cache: EncoderCache,
         params.add_grad(b + "ln2.scale", dg2)
         params.add_grad(b + "ln2.shift", db2ln)
         # attention residual: x_mid = x_in + attn(ln1(x_in))
-        dn1, mha_grads = mha_backward(_block_params(params, b), blk.mha, dx_mid)
-        dx_in_ln, dg1, db1ln = layer_norm_backward(params.value(b + "ln1.scale"), blk.x_in, dn1)
+        dn1, mha_grads = mha_backward(MhaParams.read(params, b + "attn."), blk.mha, dx_mid)
+        dx_in_ln, dg1, db1ln = layer_norm_backward(params.value(b + "ln1.scale"), blk.ln1, dn1)
         dx = dx_mid + dx_in_ln
-        params.add_grad(b + "attn.w_q", mha_grads.w_q)
-        params.add_grad(b + "attn.w_k", mha_grads.w_k)
-        params.add_grad(b + "attn.w_v", mha_grads.w_v)
-        params.add_grad(b + "attn.w_o", mha_grads.w_o)
+        mha_grads.add_grads(params, b + "attn.")
         params.add_grad(b + "ln1.scale", dg1)
         params.add_grad(b + "ln1.shift", db1ln)
     return dx

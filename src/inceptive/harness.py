@@ -97,18 +97,35 @@ class RunSettings:
         return ModelConfig(variant=variant, **self.model)
 
 
+# the type of the keys whose default is None
+_NULLABLE = {"head_dim": int, "selection_metric": str}
+
+
+def _check_type(key: str, value, default) -> None:
+    """``value`` must have its default's type: a float key takes an int too,
+    a bool is neither, and a None default also takes None."""
+    if value is None and default is None:
+        return
+    want = _NULLABLE.get(key, type(default))
+    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+        raise ConfigError(f"config key {key} must be {want.__name__}, got {value!r}")
+    if want is float and not -np.inf < value < np.inf:
+        raise ConfigError(f"config key {key} must be finite, got {value!r}")
+
+
 def load_config(path) -> RunSettings:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    known = set(_MODEL_KEYS) | set(_ENCODER_KEYS) | set(_TRAIN_KEYS) | set(_PATH_KEYS)
-    for key in raw:
-        if key not in known:
+    defaults = {**_MODEL_KEYS, **_ENCODER_KEYS, **_TRAIN_KEYS, **dict.fromkeys(_PATH_KEYS, "")}
+    for key, value in raw.items():
+        if key not in defaults:
             raise ConfigError(f"unknown config key: {key}")
+        _check_type(key, value, defaults[key])
     model = {k: raw.get(k, default) for k, default in _MODEL_KEYS.items()}
     encoder = {k: raw.get(k, default) for k, default in _ENCODER_KEYS.items()}
     train_kwargs = {k: raw.get(k, default) for k, default in _TRAIN_KEYS.items()}
@@ -331,9 +348,9 @@ def run_attnmap(
 
 def _read_score_csv(path) -> np.ndarray:
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
+            text = line.decode("utf-8", errors="replace").strip()  # a bad byte is then not a number
             if not text:
                 continue
             try:
@@ -342,6 +359,8 @@ def _read_score_csv(path) -> np.ndarray:
                 if lineno == 1:  # tolerate a header row
                     continue
                 raise InputError(f"{path}:{lineno}: not a number: {text!r}")
+            if not np.isfinite(values[-1]):
+                raise InputError(f"{path}:{lineno}: not a finite number: {text!r}")
     if not values:
         raise InputError(f"{path}: no scores found")
     return np.array(values)
@@ -349,11 +368,13 @@ def _read_score_csv(path) -> np.ndarray:
 
 def run_stats(path_a, path_b) -> dict:
     """Paired signed-rank test between two per-run score lists, plus the
-    relative gain of the second list's mean over the first."""
+    relative gain of the second list's mean over the first (``None`` when
+    the first mean is 0)."""
     a = _read_score_csv(path_a)
     b = _read_score_csv(path_b)
     if len(a) != len(b):
         raise InputError(f"score lists differ in length: {len(a)} vs {len(b)}")
     w, p = wilcoxon_signed_rank(a, b)
-    gain = (float(np.mean(b)) - float(np.mean(a))) / float(np.mean(a)) * 100.0
-    return {"W": w, "p": p, "gain_percent": gain, "mean_a": float(np.mean(a)), "mean_b": float(np.mean(b))}
+    mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
+    gain = (mean_b - mean_a) / mean_a * 100.0 if mean_a != 0 else None
+    return {"W": w, "p": p, "gain_percent": gain, "mean_a": mean_a, "mean_b": mean_b}

@@ -242,12 +242,6 @@ def _branch_columns(c: int):
         yield k, slice(i * c, (i + 1) * c)
 
 
-@dataclass
-class _InceptionCache:
-    conv_out: np.ndarray  # concatenated branch outputs, pre batch-norm
-    bn_out: np.ndarray  # pre ReLU
-
-
 def _branch(cfg: ModelConfig, store: ParamStore, k: int):
     return conv_branch(k, store.value(_branch_name(k) + "weight"), np.zeros(cfg.c))
 
@@ -259,15 +253,15 @@ def _bn_param(store: ParamStore, name: str) -> np.ndarray:
 
 def inception_forward(
     cfg: ModelConfig, store: ParamStore, state: HeadState, h: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, _InceptionCache]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Four convolution branches (widths 2, 3, 5, 7), concatenated
     channel-wise in kernel order, then one batch norm and ReLU over the
     concat. Both act on each channel alone, so this is each branch
-    followed by its own norm and ReLU. The ReLU writes into ``out`` when
-    given."""
+    followed by its own norm and ReLU. Returns the ReLU output, written
+    into ``out`` when given, and the batch norm's cache."""
     y = concat_features([conv1d_forward(_branch(cfg, store, k), h) for k in KERNEL_SIZES])
-    z = batchnorm_apply(state.bn, _bn_param(store, "scale"), _bn_param(store, "shift"), y)
-    return relu(z, out), _InceptionCache(y, z)
+    z, bn_cache = batchnorm_apply(state.bn, _bn_param(store, "scale"), _bn_param(store, "shift"), y)
+    return relu(z, out), bn_cache
 
 
 def inception_backward(
@@ -275,14 +269,16 @@ def inception_backward(
     store: ParamStore,
     state: HeadState,
     h: np.ndarray,
-    cache: _InceptionCache,
+    c_map: np.ndarray,
+    bn_cache: tuple[np.ndarray, np.ndarray],
     dc_map: np.ndarray,
     need_input_grad: bool = True,
 ) -> np.ndarray | None:
-    """Accumulate the branch gradients; returns the gradient w.r.t. ``h``,
-    or ``None`` without forming it when ``need_input_grad`` is off."""
-    dz = relu_backward(cache.bn_out, dc_map)
-    dy, dgamma, dbeta = batchnorm_backward(state.bn, _bn_param(store, "scale"), cache.conv_out, dz)
+    """Accumulate the branch gradients from the forward's output ``c_map``
+    and batch-norm cache; returns the gradient w.r.t. ``h``, or ``None``
+    without forming it when ``need_input_grad`` is off."""
+    dz = relu_backward(c_map, dc_map)
+    dy, dgamma, dbeta = batchnorm_backward(state.bn, _bn_param(store, "scale"), bn_cache, dz)
     dh = np.zeros_like(h) if need_input_grad else None
     for k, cols in _branch_columns(cfg.c):
         b = _branch_name(k)
@@ -322,17 +318,13 @@ def received_entropy(received: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
-def _mha_params(store: ParamStore) -> MhaParams:
-    return MhaParams(*(store.value(f"head.attn.{name}") for name in ("w_q", "w_k", "w_v", "w_o")))
-
-
 def multi_head_attention(
     cfg: ModelConfig, store: ParamStore, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, MhaCache]:
     """Per-position self-attention over the enriched features; also returns
     the received map computed from the pre-projection weight rows. The head
     itself only needs the pooled output (:func:`mha_mean_forward`)."""
-    a, cache = mha_forward(_mha_params(store), r)
+    a, cache = mha_forward(MhaParams.read(store, "head.attn."), r)
     return a, attention_received(cache.weights), cache
 
 
@@ -353,12 +345,13 @@ class HeadPass:
     h: np.ndarray
     mask: np.ndarray
     h_dropped: np.ndarray
-    inception: _InceptionCache
+    inception: tuple[np.ndarray, np.ndarray]  # the batch norm's cache
     c_map: np.ndarray
     r: np.ndarray
     mha: MhaMeanCache | None
     pooled: np.ndarray
-    dense_pre: np.ndarray | None  # pre-ReLU dense activation
+    dense_act: np.ndarray | None  # post-ReLU dense activation
+    dense_ln: tuple[np.ndarray, np.ndarray] | None  # the layer norm's cache
     dense_out: np.ndarray | None  # post layer-norm dense output
     logits: np.ndarray
 
@@ -379,24 +372,26 @@ def head_forward(
     _check_store(cfg, store)
     r = np.empty(h.shape[:2] + (cfg.d_r,))
     h_dropped, mask = dropout(state.dropout, h, rng, out=r[..., : cfg.d])
-    c_map, inc_cache = inception_forward(cfg, store, state, h_dropped, out=r[..., cfg.d :])
+    c_map, bn_cache = inception_forward(cfg, store, state, h_dropped, out=r[..., cfg.d :])
     if cfg.has_attention:
         # attention then mean pool, without the per-position attention output
-        pooled, mha_cache = mha_mean_forward(_mha_params(store), r)
+        pooled, mha_cache = mha_mean_forward(MhaParams.read(store, "head.attn."), r)
     else:
         mha_cache = None
         pooled = adaptive_avg_pool(r)
     if cfg.has_dense:
-        dense_pre = linear(store.value("head.dense.weight"), store.value("head.dense.bias"), pooled)
-        dense_out = layer_norm(
-            store.value("head.dense.ln.scale"), store.value("head.dense.ln.shift"), relu(dense_pre)
+        dense_act = relu(linear(store.value("head.dense.weight"), store.value("head.dense.bias"), pooled))
+        dense_out, dense_ln = layer_norm(
+            store.value("head.dense.ln.scale"), store.value("head.dense.ln.shift"), dense_act
         )
         cls_in = dense_out
     else:
-        dense_pre, dense_out = None, None
+        dense_act, dense_ln, dense_out = None, None, None
         cls_in = pooled
     logits = linear(store.value("head.classifier.weight"), store.value("head.classifier.bias"), cls_in)
-    return HeadPass(h, mask, h_dropped, inc_cache, c_map, r, mha_cache, pooled, dense_pre, dense_out, logits)
+    return HeadPass(
+        h, mask, h_dropped, bn_cache, c_map, r, mha_cache, pooled, dense_act, dense_ln, dense_out, logits
+    )
 
 
 def _check_store(cfg: ModelConfig, store: ParamStore) -> None:
@@ -432,9 +427,8 @@ def head_backward(
     """
     if cfg.has_dense:
         dcls_in, dwc, dbc = linear_backward(store.value("head.classifier.weight"), hp.dense_out, dlogits)
-        relu_pre = relu(hp.dense_pre)
-        ddense_relu, dg, dbln = layer_norm_backward(store.value("head.dense.ln.scale"), relu_pre, dcls_in)
-        ddense_pre = relu_backward(hp.dense_pre, ddense_relu)
+        ddense_act, dg, dbln = layer_norm_backward(store.value("head.dense.ln.scale"), hp.dense_ln, dcls_in)
+        ddense_pre = relu_backward(hp.dense_act, ddense_act)
         dpooled, dwd, dbd = linear_backward(store.value("head.dense.weight"), hp.pooled, ddense_pre)
         store.add_grad("head.dense.weight", dwd)
         store.add_grad("head.dense.bias", dbd)
@@ -447,15 +441,14 @@ def head_backward(
     # the first d columns of r are the input itself; only the input gradient reads them
     dr_start = 0 if need_input_grad else cfg.d
     if cfg.has_attention:
-        dr, grads = mha_mean_backward(_mha_params(store), hp.mha, dpooled, dr_start)
-        store.add_grad("head.attn.w_q", grads.w_q)
-        store.add_grad("head.attn.w_k", grads.w_k)
-        store.add_grad("head.attn.w_v", grads.w_v)
-        store.add_grad("head.attn.w_o", grads.w_o)
+        dr, grads = mha_mean_backward(MhaParams.read(store, "head.attn."), hp.mha, dpooled, dr_start)
+        grads.add_grads(store, "head.attn.")
     else:
         dr = np.broadcast_to(dpooled[:, None, :] / hp.r.shape[1], hp.r.shape)[..., dr_start:]
     dc_map = dr[..., cfg.d - dr_start :]
-    dh_conv = inception_backward(cfg, store, state, hp.h_dropped, hp.inception, dc_map, need_input_grad)
+    dh_conv = inception_backward(
+        cfg, store, state, hp.h_dropped, hp.c_map, hp.inception, dc_map, need_input_grad
+    )
     if not need_input_grad:
         return None
     dh_dropped = dr[..., : cfg.d].copy()

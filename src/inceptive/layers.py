@@ -1,10 +1,11 @@
 """Differentiable building blocks with explicit forward and backward passes.
 
 There is no autodiff tape: every operation ships its own adjoint, and the
-model modules chain them by hand. Most backward functions take the forward's
-inputs and recompute cheap intermediates. The attention adjoints take the
-forward's cache (:class:`MhaCache`, :class:`MhaMeanCache`) and dropout's
-adjoint takes its mask. Each pair is checkable with
+model modules chain them by hand. One rule holds for every adjoint: it reads
+its forward's input, output, mask or cache, and never re-runs the forward.
+The norms return ``(centered, inv_std)`` as their cache, the attention
+forwards a :class:`MhaCache` or :class:`MhaMeanCache`, dropout its mask, and
+the ReLU adjoint reads the ReLU's output. Each pair is checkable with
 :func:`inceptive.tensor.grad_check`.
 
 Shapes follow the batch-first convention ``B x L x features`` throughout.
@@ -12,12 +13,12 @@ Shapes follow the batch-first convention ``B x L x features`` throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateBatchError, DimensionError
-from .tensor import Rng
+from .tensor import ParamStore, Rng
 
 __all__ = [
     "KERNEL_SIZES",
@@ -171,50 +172,50 @@ class BatchNormState:
     mode: str = "train"
 
 
-def _bn_stats(state: BatchNormState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def batchnorm_apply(
+    state: BatchNormState, gamma: np.ndarray, beta: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Normalize ``B x L x c`` per channel, then apply the learned affine.
+    Returns the output and the cache ``(centered, inv_std)``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[2] != state.running_mean.shape[0]:
+        raise DimensionError(f"channel mismatch: input {x.shape[2]} vs state {state.running_mean.shape[0]}")
     if state.mode == "train":
         if x.shape[0] * x.shape[1] < 2:
             raise DegenerateBatchError(
                 f"batch norm needs at least 2 pooled positions, got {x.shape[0] * x.shape[1]}"
             )
-        return x.mean(axis=(0, 1)), x.var(axis=(0, 1))
-    return state.running_mean, state.running_var
-
-
-def batchnorm_apply(state: BatchNormState, gamma: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Normalize ``B x L x c`` per channel, then apply the learned affine."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[2] != state.running_mean.shape[0]:
-        raise DimensionError(f"channel mismatch: input {x.shape[2]} vs state {state.running_mean.shape[0]}")
-    mean, var = _bn_stats(state, x)
-    if state.mode == "train":
+        mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
         state.running_mean[...] = (1 - state.momentum) * state.running_mean + state.momentum * mean
         state.running_var[...] = (1 - state.momentum) * state.running_var + state.momentum * var
-    xhat = (x - mean) / np.sqrt(var + state.eps)
-    return gamma * xhat + beta
+    else:
+        mean, var = state.running_mean, state.running_var
+    centered = x - mean
+    std = np.sqrt(var + state.eps)
+    y = centered / std  # then gamma * y + beta, in place
+    y *= gamma
+    y += beta
+    return y, (centered, 1.0 / std)
 
 
 def batchnorm_backward(
-    state: BatchNormState, gamma: np.ndarray, x: np.ndarray, dy: np.ndarray
+    state: BatchNormState, gamma: np.ndarray, cache: tuple[np.ndarray, np.ndarray], dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input, scale, and shift.
+    """Gradients w.r.t. input, scale, and shift, from the forward's cache.
 
     Train mode differentiates through the batch statistics (each input
     element moves the shared mean and variance); eval mode treats the
     running statistics as constants. Running estimates are not touched.
     """
-    x = np.asarray(x, dtype=np.float64)
+    centered, inv_std = cache
     dy = np.asarray(dy, dtype=np.float64)
-    mean, var = _bn_stats(state, x)
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean) * inv_std
+    xhat = centered * inv_std
     dgamma = (dy * xhat).sum(axis=(0, 1))
     dbeta = dy.sum(axis=(0, 1))
     dxhat = dy * gamma
     if state.mode != "train":
         return dxhat * inv_std, dgamma, dbeta
-    n = x.shape[0] * x.shape[1]
-    centered = x - mean
+    n = centered.shape[0] * centered.shape[1]
     dvar = (dxhat * centered).sum(axis=(0, 1)) * (-0.5) * inv_std**3
     dmean = -(dxhat.sum(axis=(0, 1))) * inv_std + dvar * (-2.0) * centered.mean(axis=(0, 1))
     dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
@@ -228,9 +229,9 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    # Subgradient 0 at exactly 0.
-    return dy * (x > 0)
+def relu_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    # Reads the ReLU's output: y > 0 exactly where x > 0 (subgradient 0 at 0).
+    return dy * (y > 0)
 
 
 @dataclass
@@ -302,26 +303,26 @@ def linear_backward(
 _LN_EPS = 1e-5
 
 
-def layer_norm(gamma: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+def layer_norm(
+    gamma: np.ndarray, beta: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Normalize the trailing axis to zero mean, unit population variance
-    (eps 1e-5), then apply the learned affine."""
+    (eps 1e-5), then apply the learned affine. Returns the output and the
+    cache ``(centered, inv_std)``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
         raise DimensionError(f"layer norm needs >= 2 features, got {x.shape[-1]}")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return gamma * (x - mean) / np.sqrt(var + _LN_EPS) + beta
+    centered = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
+    return gamma * centered / std + beta, (centered, 1.0 / std)
 
 
 def layer_norm_backward(
-    gamma: np.ndarray, x: np.ndarray, dy: np.ndarray
+    gamma: np.ndarray, cache: tuple[np.ndarray, np.ndarray], dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mean) * inv_std
-    lead = tuple(range(x.ndim - 1))
+    centered, inv_std = cache
+    xhat = centered * inv_std
+    lead = tuple(range(xhat.ndim - 1))
     dgamma = (dy * xhat).sum(axis=lead)
     dbeta = dy.sum(axis=lead)
     dxhat = dy * gamma
@@ -398,6 +399,16 @@ class MhaParams:
     w_k: np.ndarray
     w_v: np.ndarray
     w_o: np.ndarray
+
+    @classmethod
+    def read(cls, store: ParamStore, prefix: str) -> MhaParams:
+        """The projections stored as ``prefix + "w_q"`` and so on."""
+        return cls(*(store.value(prefix + f.name) for f in fields(cls)))
+
+    def add_grads(self, store: ParamStore, prefix: str) -> None:
+        """Add this bundle, as gradients, to the parameters :meth:`read` reads."""
+        for f in fields(self):
+            store.add_grad(prefix + f.name, getattr(self, f.name))
 
 
 @dataclass

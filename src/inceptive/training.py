@@ -51,12 +51,16 @@ class TrainConfig:
     selection_metric: str = "accuracy"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 < self.sigmoid_threshold < 1.0:
             raise ConfigError(f"sigmoid_threshold must be in (0, 1), got {self.sigmoid_threshold}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if not 0 <= self.lr_min <= self.lr:
+            raise ConfigError(f"lr_min must be in [0, lr], got {self.lr_min}")
         if self.selection_metric not in ("accuracy", "f1"):
             raise ConfigError(f"selection_metric must be accuracy or f1, got {self.selection_metric!r}")
 

@@ -242,6 +242,25 @@ class TestStats:
         assert rc == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [b"nan", b"inf", b"-inf", b"2\xff"])
+    def test_non_finite_or_non_utf8_score_names_its_line(self, tmp_path, capsys, bad):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_bytes(b"score\n1.0\n" + bad + b"\n3.0\n")
+        b.write_text("score\n2.0\n3.0\n4.0\n")
+        assert main(["stats", str(a), str(b)]) == 3
+        assert "a.csv:3: not a" in capsys.readouterr().err
+
+    def test_zero_first_mean_leaves_gain_undefined(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("\n".join(["-1.0", "1.0"] * 5))
+        b.write_text("\n".join(str(2.0 + i) for i in range(10)))
+        assert main(["stats", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "gain = undefined" in out
+        assert "W = " in out and "p = 0.001953125" in out
+
     def test_length_mismatch_rejected(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -386,6 +405,22 @@ class TestEmbeddingsMode:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("key,value", [
+        ("d", "8"), ("d", 8.0), ("d", True), ("epochs", 1.5), ("lr", "x"), ("lr", float("nan")),
+        ("dropout_rate", None), ("train_path", 3), ("batch_size", 0), ("weight_decay", -1),
+        ("lr_min", 1.0), ("enc_heads", 0), ("enc_layers", -1), ("ffn_size", 0),
+        ("task", "multi-cl\xe9ss"),  # written as Latin-1 below: the file is not UTF-8
+    ])
+    def test_bad_config_value_exits_2(self, workspace, capsys, key, value):
+        root, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg[key] = value
+        bad = root / "bad_value.json"
+        bad.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("latin-1"))
+        rc = main(["train", "--config", str(bad), "--runs", "1", "--out", str(root / "bad_value")])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, workspace, capsys):
         root, _ = workspace
         bad = root / "typo.json"

@@ -65,6 +65,37 @@ class TestDatasetFiles:
         with pytest.raises(InputError, match=":2"):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("line,multilabel,match", [
+        (b'["a", 0]', False, "JSON object"),
+        (b'{"text": 5, "label": 0}', False, "string text"),
+        (b'{"text": "a", "label": true}', False, "label must be an int"),
+        (b'{"text": "a", "labels": [true]}', True, "int labels"),
+        (b'{"text": "a", "labels": [0.5]}', True, "int labels"),
+        (b'{"text": "caf\xe9", "label": 0}', False, "UTF-8"),
+    ])
+    def test_bad_record_names_its_line(self, tmp_path, line, multilabel, match):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"text": "a", "label": 0, "labels": [0]}\n\n' + line + b"\n")
+        with pytest.raises(InputError, match=f"d.jsonl:3: .*{match}"):
+            load_dataset(path, n_classes=3, multilabel=multilabel)
+
+    @pytest.mark.parametrize("content", [
+        b'{"<pad>": 0, "<unk>": "x"}',
+        b'{"<pad>": 0, "<unk>": -5}',
+        b'{"<pad>": 0, "<unk>": 99999999999}',
+        b'{"<pad>": 0, "<unk>": 0}',
+        b'{"<pad>": 0, "<unk>": true}',
+        b'{"<pad>": 0, "<unk>": 1.0}',
+        b"{}",
+        b'["<pad>"]',
+        b'{"caf\xe9": 0}',
+    ])
+    def test_vocab_ids_must_be_0_to_n_minus_1(self, tmp_path, content):
+        path = tmp_path / "vocab.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError, match="vocab"):
+            load_vocab(path)
+
 
 class TestEncodeBatch:
     def test_cls_prefix_padding_and_unknowns(self):

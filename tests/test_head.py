@@ -91,7 +91,7 @@ class TestInception:
                 b = f"head.inception.branch_k{k}."
                 bn[k].mode = "train" if train else "eval"
                 y = conv1d_forward(conv_branch(k, store.value(b + "weight"), np.zeros(3)), h)
-                z = batchnorm_apply(bn[k], store.value(b + "bn.scale"), store.value(b + "bn.shift"), y)
+                z, _ = batchnorm_apply(bn[k], store.value(b + "bn.scale"), store.value(b + "bn.shift"), y)
                 assert np.array_equal(c_map[..., 3 * i : 3 * (i + 1)], relu(z))
                 assert np.array_equal(state.buffers()[b + "bn.running_mean"], bn[k].running_mean)
                 assert np.array_equal(state.buffers()[b + "bn.running_var"], bn[k].running_var)

@@ -149,22 +149,22 @@ class TestBatchNorm:
     def test_hand_normalization(self):
         state = BatchNormState(np.zeros(1), np.ones(1), eps=1e-12)
         x = np.array([[[1.0], [3.0]]])
-        out = batchnorm_apply(state, np.ones(1), np.zeros(1), x)
+        out, _ = batchnorm_apply(state, np.ones(1), np.zeros(1), x)
         np.testing.assert_allclose(out[0, :, 0], [-1.0, 1.0], atol=1e-5)
 
     def test_eval_identity_stats(self):
         state = BatchNormState(np.zeros(2), np.ones(2), mode="eval")
         x = Rng(0).normal((2, 3, 2))
-        np.testing.assert_allclose(batchnorm_apply(state, np.ones(2), np.zeros(2), x), x, atol=1e-4)
+        np.testing.assert_allclose(batchnorm_apply(state, np.ones(2), np.zeros(2), x)[0], x, atol=1e-4)
 
     def test_constant_channel_maps_to_shift(self):
         state = BatchNormState(np.zeros(1), np.ones(1))
         x = np.full((2, 3, 1), 7.0)
-        np.testing.assert_allclose(batchnorm_apply(state, np.ones(1), np.full(1, 2.5), x), 2.5)
+        np.testing.assert_allclose(batchnorm_apply(state, np.ones(1), np.full(1, 2.5), x)[0], 2.5)
 
     def test_train_mode_normalizes_each_channel(self):
         state = BatchNormState(np.zeros(3), np.ones(3), eps=1e-12)
-        out = batchnorm_apply(state, np.ones(3), np.zeros(3), Rng(2).normal((4, 8, 3)) * 3.0 + 1.0)
+        out, _ = batchnorm_apply(state, np.ones(3), np.zeros(3), Rng(2).normal((4, 8, 3)) * 3.0 + 1.0)
         assert np.abs(out.mean(axis=(0, 1))).max() < 1e-9
         assert np.abs(out.var(axis=(0, 1)) - 1.0).max() < 1e-6
 
@@ -195,10 +195,11 @@ class TestBatchNorm:
 
         def f(params):
             s = BatchNormState(state.running_mean.copy(), state.running_var.copy(), mode=mode)
-            out = batchnorm_apply(s, params.value("scale"), params.value("shift"), params.value("x"))
+            out, _ = batchnorm_apply(s, params.value("scale"), params.value("shift"), params.value("x"))
             return float((out * proj).sum())
 
-        dx, dgamma, dbeta = batchnorm_backward(state, gamma, x, proj)
+        _, cache = batchnorm_apply(BatchNormState(np.zeros(3), np.ones(3), mode=mode), gamma, beta, x)
+        dx, dgamma, dbeta = batchnorm_backward(state, gamma, cache, proj)
         store.grad("scale")[...] = dgamma
         store.grad("shift")[...] = dbeta
         store.grad("x")[...] = dx
@@ -309,11 +310,11 @@ class TestLinear:
 
 class TestLayerNorm:
     def test_constant_row_maps_to_shift(self):
-        out = layer_norm(np.ones(3), np.zeros(3), np.array([1.0, 1.0, 1.0]))
+        out, _ = layer_norm(np.ones(3), np.zeros(3), np.array([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_already_normalized_row(self):
-        out = layer_norm(np.ones(2), np.zeros(2), np.array([-1.0, 1.0]))
+        out, _ = layer_norm(np.ones(2), np.zeros(2), np.array([-1.0, 1.0]))
         np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-4)
 
     def test_backward_matches_finite_differences(self):
@@ -328,10 +329,10 @@ class TestLayerNorm:
 
         def f(params):
             return float(
-                (layer_norm(params.value("gamma"), params.value("beta"), params.value("x")) * proj).sum()
+                (layer_norm(params.value("gamma"), params.value("beta"), params.value("x"))[0] * proj).sum()
             )
 
-        dx, dgamma, dbeta = layer_norm_backward(gamma, x, proj)
+        dx, dgamma, dbeta = layer_norm_backward(gamma, layer_norm(gamma, beta, x)[1], proj)
         store.grad("gamma")[...] = dgamma
         store.grad("beta")[...] = dbeta
         store.grad("x")[...] = dx
