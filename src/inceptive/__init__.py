@@ -26,7 +26,6 @@ from .tensor import (
     ParamStore,
     Rng,
     clip_global_norm,
-    concat_features,
     grad_check,
     load_checkpoint,
     save_checkpoint,

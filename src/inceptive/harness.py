@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,16 +21,7 @@ from .head import ModelConfig, received_entropy, write_attention_csv, write_atte
 from .metrics import wilcoxon_signed_rank
 from .model import SequenceClassifier
 from .tensor import Rng, load_checkpoint, save_checkpoint
-from .training import (
-    TrainConfig,
-    cosine_lr,
-    evaluate,
-    init_adamw,
-    kfold_split,
-    run_training,
-    selection_value,
-    train_epoch,
-)
+from .training import TrainConfig, evaluate, kfold_split, run_training, selection_value
 
 __all__ = [
     "RunSettings",
@@ -213,8 +204,9 @@ def run_train(
     """Train ``runs`` independently seeded models; write one report and one
     best-epoch checkpoint per run plus a mean/std summary and the per-run
     score list used by the significance test."""
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
     bundle = load_data(settings)
-    os.makedirs(out_dir, exist_ok=True)
     scores = []
     for i in range(runs):
         run_seed = seed + i
@@ -230,8 +222,8 @@ def run_train(
         report, best_state = run_training(
             model, bundle.train, bundle.val, bundle.test, settings.train, rng.child("train"), meta
         )
-        with open(os.path.join(out_dir, f"run_{i:02d}.json"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        os.makedirs(out_dir, exist_ok=True)
+        _write_json(os.path.join(out_dir, f"run_{i:02d}.json"), asdict(report))
         save_checkpoint(os.path.join(out_dir, f"run_{i:02d}.ckpt"), best_state)
         scores.append(selection_value(report.test, settings.train.selection_metric))
     summary = {
@@ -248,12 +240,6 @@ def run_train(
     return summary
 
 
-def _xval_pool(settings: RunSettings, bundle: DataBundle):
-    xs = np.concatenate([bundle.train[0], bundle.val[0]], axis=0)
-    ys = np.concatenate([bundle.train[1], bundle.val[1]], axis=0)
-    return xs, ys
-
-
 def run_xval(
     settings: RunSettings,
     variant: str = "full",
@@ -263,27 +249,27 @@ def run_xval(
 ) -> dict:
     """K-fold comparison of the baseline and enrichment models on identical
     fold assignments. Each fold trains for the configured epochs and scores
-    the final model on the held-out part (no within-fold selection)."""
+    the final model on the held-out part (no within-fold selection); each
+    fold's epoch records are kept beside its score."""
     bundle = load_data(settings)
-    xs, ys = _xval_pool(settings, bundle)
+    xs = np.concatenate([bundle.train[0], bundle.val[0]], axis=0)
+    ys = np.concatenate([bundle.train[1], bundle.val[1]], axis=0)
     folds = kfold_split(len(xs), k, seed)
     results: dict = {"k": k, "seed": seed, "metric": settings.train.selection_metric, "models": {}}
     for kind in ("baseline", "inceptive"):
-        fold_scores = []
+        fold_scores, fold_epochs = [], []
         for fold_i, (train_idx, val_idx) in enumerate(folds):
             rng = Rng(seed).child("fold", fold_i, kind)
             model = build_model(settings, bundle, kind, variant, rng.child("init"))
-            opt = init_adamw(model.params)
-            data = (xs[train_idx], ys[train_idx])
-            for epoch in range(1, settings.train.epochs + 1):
-                lr = cosine_lr(epoch - 1, settings.train.epochs, settings.train.lr, settings.train.lr_min)
-                train_epoch(model, data, settings.train, opt, epoch, lr, rng.child("train"))
-            metrics, _ = evaluate(model, (xs[val_idx], ys[val_idx]), settings.train)
-            fold_scores.append(selection_value(metrics, settings.train.selection_metric))
+            train, held_out = (xs[train_idx], ys[train_idx]), (xs[val_idx], ys[val_idx])
+            report, _ = run_training(model, train, None, held_out, settings.train, rng.child("train"))
+            fold_scores.append(selection_value(report.test, settings.train.selection_metric))
+            fold_epochs.append(report.epochs)
         results["models"][kind] = {
             "folds": fold_scores,
             "mean": float(np.mean(fold_scores)),
             "std": float(np.std(fold_scores)),
+            "epochs": fold_epochs,
         }
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "xval.json"), results)
@@ -321,6 +307,8 @@ def run_attnmap(
     """Export received-attention profiles for the first test examples: one
     ``position,received`` CSV per example, a grayscale heatmap with one row
     per example, and a summary with per-example entropy."""
+    if limit < 1:
+        raise ConfigError(f"limit must be >= 1, got {limit}")
     bundle = load_data(settings, ("test",))
     model = _restore(settings, bundle, kind, variant, checkpoint)
     model.set_mode(False)

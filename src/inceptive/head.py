@@ -42,7 +42,7 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .tensor import ParamStore, Rng, concat_features, glorot_uniform
+from .tensor import ParamStore, Rng, glorot_uniform
 
 __all__ = [
     "KERNEL_SIZES",
@@ -242,8 +242,8 @@ def _branch_columns(c: int):
         yield k, slice(i * c, (i + 1) * c)
 
 
-def _branch(cfg: ModelConfig, store: ParamStore, k: int):
-    return conv_branch(k, store.value(_branch_name(k) + "weight"), np.zeros(cfg.c))
+def _branch(store: ParamStore, k: int):
+    return conv_branch(k, store.value(_branch_name(k) + "weight"))
 
 
 def _bn_param(store: ParamStore, name: str) -> np.ndarray:
@@ -259,7 +259,9 @@ def inception_forward(
     concat. Both act on each channel alone, so this is each branch
     followed by its own norm and ReLU. Returns the ReLU output, written
     into ``out`` when given, and the batch norm's cache."""
-    y = concat_features([conv1d_forward(_branch(cfg, store, k), h) for k in KERNEL_SIZES])
+    y = np.empty((*h.shape[:2], len(KERNEL_SIZES) * cfg.c))
+    for k, cols in _branch_columns(cfg.c):
+        conv1d_forward(_branch(store, k), h, out=y[..., cols])
     z, bn_cache = batchnorm_apply(state.bn, _bn_param(store, "scale"), _bn_param(store, "shift"), y)
     return relu(z, out), bn_cache
 
@@ -282,7 +284,7 @@ def inception_backward(
     dh = np.zeros_like(h) if need_input_grad else None
     for k, cols in _branch_columns(cfg.c):
         b = _branch_name(k)
-        dh_k, dw, _ = conv1d_backward(_branch(cfg, store, k), h, dy[..., cols], need_input_grad)
+        dh_k, dw, _ = conv1d_backward(_branch(store, k), h, dy[..., cols], need_input_grad)
         if need_input_grad:
             dh += dh_k
         store.add_grad(b + "weight", dw)

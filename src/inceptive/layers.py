@@ -66,17 +66,17 @@ class ConvBranch:
 
     kernel_size: int
     weight: np.ndarray  # (c, k, d)
-    bias: np.ndarray  # (c,)
+    bias: np.ndarray | None  # (c,), or None for a bias-free branch
     pad_left: int
     pad_right: int
 
 
-def conv_branch(kernel_size: int, weight: np.ndarray, bias: np.ndarray) -> ConvBranch:
+def conv_branch(kernel_size: int, weight: np.ndarray, bias: np.ndarray | None = None) -> ConvBranch:
     """Build a branch with the padding rule implied by the kernel width."""
     if kernel_size not in KERNEL_SIZES:
         raise ConfigError(f"kernel size must be one of {KERNEL_SIZES}, got {kernel_size}")
     weight = np.asarray(weight, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
+    bias = None if bias is None else np.asarray(bias, dtype=np.float64)
     if weight.ndim != 3 or weight.shape[1] != kernel_size:
         raise DimensionError(f"conv weight must be (c, {kernel_size}, d), got {weight.shape}")
     if kernel_size == 2:
@@ -103,13 +103,13 @@ def _tap_major(branch: ConvBranch) -> np.ndarray:
     return branch.weight.transpose(1, 0, 2).reshape(k * c, d)
 
 
-def conv1d_forward(branch: ConvBranch, h: np.ndarray) -> np.ndarray:
+def conv1d_forward(branch: ConvBranch, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Slide each filter over the token axis: ``y[b,i,f]`` is the sum over
-    kernel offsets j of ``weight[f,j,:] . h_padded[b,i+j,:]`` plus bias.
+    kernel offsets j of ``weight[f,j,:] . h_padded[b,i+j,:]`` plus bias, if any.
 
-    Output is ``B x L x c`` with L identical to the input length. All taps
-    come from one GEMM, ``(B*L, d) @ (d, k*c)``; each tap's slice is then
-    added to the output shifted by its offset (the kn2row form).
+    Output is ``B x L x c`` with L identical to the input length, written
+    into ``out`` when given. All taps come from one GEMM, ``(B*L, d) @ (d, k*c)``;
+    each tap's slice is then added to the output shifted by its offset (the kn2row form).
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 3:
@@ -121,7 +121,8 @@ def conv1d_forward(branch: ConvBranch, h: np.ndarray) -> np.ndarray:
     b, length, d = h.shape
     c, k, _ = branch.weight.shape
     taps = (h.reshape(b * length, d) @ _tap_major(branch).T).reshape(b, length, k, c)
-    y = np.broadcast_to(branch.bias, (b, length, c)).copy()
+    y = np.empty((b, length, c)) if out is None else out
+    y[...] = 0.0 if branch.bias is None else branch.bias
     for j, s, lo, hi in _tap_rows(branch, length):
         y[:, lo:hi, :] += taps[:, lo + s : hi + s, j, :]
     return y
@@ -129,13 +130,13 @@ def conv1d_forward(branch: ConvBranch, h: np.ndarray) -> np.ndarray:
 
 def conv1d_backward(
     branch: ConvBranch, h: np.ndarray, dy: np.ndarray, need_input_grad: bool = True
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Adjoint of :func:`conv1d_forward`; padding positions get no input grad.
 
     ``dy`` is scattered into the per-tap layout of the forward's GEMM, so
     the weight and input gradients are one product each. With
-    ``need_input_grad`` off the input gradient is not formed and ``None``
-    takes its place.
+    ``need_input_grad`` off the input gradient is not formed, and for a
+    bias-free branch no bias gradient is; ``None`` takes each one's place.
     """
     h = np.asarray(h, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
@@ -147,7 +148,7 @@ def conv1d_backward(
     dtaps = dtaps.reshape(b * length, k * c)
     dweight = (dtaps.T @ h.reshape(b * length, d)).reshape(k, c, d).transpose(1, 0, 2)
     dh = (dtaps @ _tap_major(branch)).reshape(b, length, d) if need_input_grad else None
-    dbias = dy.sum(axis=(0, 1))
+    dbias = None if branch.bias is None else dy.sum(axis=(0, 1))
     return dh, dweight, dbias
 
 
@@ -344,6 +345,17 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 # --- attention -----------------------------------------------------------------
 
 
+def _attention_weights(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``softmax_rows(q k^T / sqrt(d))``, formed in place on the one score
+    buffer with the same operations in the same order."""
+    weights = q @ k.swapaxes(-1, -2)
+    weights /= np.sqrt(q.shape[-1])
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
 def scaled_dot_product_attention(
     q: np.ndarray, k: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -361,8 +373,7 @@ def scaled_dot_product_attention(
     d = q.shape[-1]
     if d == 0:
         raise DimensionError("attention head dimension must be positive")
-    scores = q @ k.swapaxes(-1, -2) / np.sqrt(d)
-    weights = softmax_rows(scores)
+    weights = _attention_weights(q, k)
     return weights @ v, weights
 
 
@@ -503,12 +514,7 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
     x2 = x.reshape(b * length, d_in)
     q = _project_heads(x2, params.w_q, b, length)
     k = _project_heads(x2, params.w_k, b, length)
-    # scores, then softmax rows, in place on one (B, h, L, L) buffer
-    weights = q @ k.swapaxes(-1, -2)
-    weights /= np.sqrt(d_head)
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = _attention_weights(q, k)
     colsum = weights.sum(axis=2)
     xbar = (colsum / length) @ x  # (B, h, d_in)
     merged_mean = (xbar.transpose(1, 0, 2) @ params.w_v).transpose(1, 0, 2).reshape(b, h * d_head)

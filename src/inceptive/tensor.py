@@ -25,7 +25,6 @@ __all__ = [
     "as_tensor",
     "BinaryReader",
     "finite_float32",
-    "concat_features",
     "glorot_uniform",
     "clip_global_norm",
     "grad_check",
@@ -57,6 +56,8 @@ class Rng:
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self._path = _path
         ss = np.random.SeedSequence([self.seed, *(_path or (0,))])
         self._gen = np.random.Generator(np.random.Philox(ss))
@@ -155,22 +156,6 @@ class ParamStore:
                     f"shape mismatch for {name}: stored {arr.shape} vs expected {p.value.shape}"
                 )
             p.value[...] = arr
-
-
-def concat_features(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate B x L x c_i feature maps along the channel axis.
-
-    Channel slice i of the output is part i, bitwise.
-    """
-    if not parts:
-        raise DimensionError("concat_features needs at least one part")
-    lead = parts[0].shape[:-1]
-    for i, p in enumerate(parts[1:], start=1):
-        if p.shape[:-1] != lead:
-            raise DimensionError(
-                f"concat_features part {i} has leading shape {p.shape[:-1]}, expected {lead}"
-            )
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts], axis=-1)
 
 
 def glorot_uniform(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:

@@ -9,7 +9,6 @@ Models are duck-typed: anything with ``params`` (a ParamStore),
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -303,10 +302,10 @@ def select_best(val_records: list[dict], selection_metric: str) -> int:
 def kfold_split(n: int, k: int = 10, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded shuffle cut into k near-equal validation folds; sizes differ
     by at most one and the folds partition ``range(n)``."""
+    if k < 2:
+        raise ConfigError(f"need at least 2 folds, got {k}")
     if n < k:
         raise InputError(f"cannot make {k} folds from {n} examples")
-    if k < 2:
-        raise InputError("need at least 2 folds")
     perm = Rng(seed).child("kfold").permutation(n)
     base, extra = divmod(n, k)
     folds = []
@@ -336,53 +335,40 @@ class RunReport:
     test: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_value": self.best_value,
-            "test": self.test,
-            "timing": self.timing,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def run_training(
     model,
     train_data: tuple[np.ndarray, np.ndarray],
-    val_data: tuple[np.ndarray, np.ndarray],
+    val_data: tuple[np.ndarray, np.ndarray] | None,
     test_data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     rng: Rng,
     meta: dict | None = None,
-) -> tuple[RunReport, dict[str, np.ndarray]]:
-    """Train for the configured epochs, select the best validation epoch,
-    and report test metrics from that snapshot. Returns the report and the
-    best snapshot's tensors (parameters plus buffers)."""
+) -> tuple[RunReport, dict[str, np.ndarray] | None]:
+    """Train for the configured epochs and report test metrics. With a
+    validation split, each epoch is scored on it, the best epoch's
+    snapshot (parameters plus buffers) is tested and returned. Without
+    one, the final model is tested and no snapshot is taken."""
     opt = init_adamw(model.params)
     report = RunReport(meta=meta or {})
     val_records: list[dict] = []
     epoch_seconds: list[float] = []
-    best_value = -np.inf
     best_state: dict[str, np.ndarray] | None = None
     for epoch in range(1, cfg.epochs + 1):
         lr = cosine_lr(epoch - 1, cfg.epochs, cfg.lr, cfg.lr_min)
         t0 = time.perf_counter()
         rec = train_epoch(model, train_data, cfg, opt, epoch, lr, rng)
         epoch_seconds.append(time.perf_counter() - t0)
-        val_metrics, _ = evaluate(model, val_data, cfg)
-        val_records.append(val_metrics)
-        report.epochs.append({"epoch": epoch, **rec, "val": val_metrics})
-        value = selection_value(val_metrics, cfg.selection_metric)
-        if value > best_value:
-            best_value = value
-            best_state = model.state_tensors()
-    report.best_epoch = select_best(val_records, cfg.selection_metric)
-    report.best_value = float(best_value)
-    model.load_state(best_state)
+        report.epochs.append({"epoch": epoch, **rec})
+        if val_data is not None:
+            report.epochs[-1]["val"], _ = evaluate(model, val_data, cfg)
+            val_records.append(report.epochs[-1]["val"])
+            if select_best(val_records, cfg.selection_metric) == epoch:
+                best_state = model.state_tensors()
+    if val_records:
+        report.best_epoch = select_best(val_records, cfg.selection_metric)
+        report.best_value = float(selection_value(val_records[report.best_epoch - 1], cfg.selection_metric))
+        model.load_state(best_state)
     test_metrics, infer_time = evaluate(model, test_data, cfg)
     report.test = test_metrics
     report.timing = {"epoch_seconds": epoch_seconds, "inference_seconds": infer_time}

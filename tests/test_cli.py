@@ -208,10 +208,15 @@ class TestXval:
         assert rc == 0
         results = json.loads((out / "xval.json").read_text())
         assert set(results["models"]) == {"baseline", "inceptive"}
+        keys = {"epoch", "train_loss", "lr", "grad_norm_mean", "grad_norm_max", "clip_frac"}
         for record in results["models"].values():
             assert len(record["folds"]) == 3
             assert record["mean"] == pytest.approx(np.mean(record["folds"]), abs=1e-12)
             assert record["std"] == pytest.approx(np.std(record["folds"]), abs=1e-12)
+            assert len(record["epochs"]) == 3  # one list per fold
+            for fold_epochs in record["epochs"]:
+                assert [set(e) for e in fold_epochs] == [keys, keys]
+                assert [e["epoch"] for e in fold_epochs] == [1, 2]
 
 
 class TestStats:
@@ -420,6 +425,28 @@ class TestExitCodes:
         rc = main(["train", "--config", str(bad), "--runs", "1", "--out", str(root / "bad_value")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--runs", "0"],
+        ["train", "--runs", "1", "--seed", "-1"],
+        ["xval", "--seed", "-1"],
+        ["xval", "--k", "1"],
+        ["xval", "--k", "0"],
+        ["attnmap", "--limit", "0"],
+        ["attnmap", "--limit", "-2"],
+        ["synth", "--seed", "-1"],
+    ], ids=lambda args: "_".join(a.removeprefix("--") for a in args))
+    def test_out_of_range_argument_exits_2(self, workspace, capsys, args):
+        """Refused before any output is written."""
+        root, cfg = workspace
+        out = root / "bad_argument"
+        if args[0] == "attnmap":
+            args = [*args, "--checkpoint", str(root / "missing.ckpt")]
+        if args[0] != "synth":
+            args = [*args, "--config", str(cfg)]
+        assert main([*args, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, workspace, capsys):
         root, _ = workspace

@@ -108,6 +108,27 @@ class TestConv1d:
             assert dh is None
             assert np.array_equal(dw_off, dw) and np.array_equal(db_off, db)
 
+    def test_bias_free_branch_is_the_zero_bias_branch(self):
+        rng = Rng(6)
+        for k in (2, 3, 5, 7):
+            weight, h, dy = rng.normal((3, k, 4)), rng.normal((2, 6, 4)), rng.normal((2, 6, 3))
+            free, zero = conv_branch(k, weight), conv_branch(k, weight, np.zeros(3))
+            assert free.bias is None
+            assert np.array_equal(conv1d_forward(free, h), conv1d_forward(zero, h))
+            dh, dw, db = conv1d_backward(free, h, dy)
+            ref_dh, ref_dw, _ = conv1d_backward(zero, h, dy)
+            assert db is None
+            assert np.array_equal(dh, ref_dh) and np.array_equal(dw, ref_dw)
+
+    def test_writes_into_a_channel_slice(self):
+        rng = Rng(7)
+        branch = conv_branch(5, rng.normal((3, 5, 4)), rng.normal(3))
+        h = rng.normal((2, 6, 4))
+        wide = np.full((2, 6, 8), np.nan)
+        conv1d_forward(branch, h, out=wide[..., 2:5])
+        assert np.array_equal(wide[..., 2:5], conv1d_forward(branch, h))
+        assert np.isnan(wide[..., :2]).all() and np.isnan(wide[..., 5:]).all()
+
     def test_backward_single_position_hand_adjoint(self):
         # L=1, k=2: only the first kernel slot sees data, the second sees padding.
         branch = conv_branch(2, Rng(3).normal((1, 2, 3)), np.zeros(1))
@@ -174,6 +195,19 @@ class TestBatchNorm:
         batchnorm_apply(state, np.ones(1), np.zeros(1), x)
         assert state.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
         assert state.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
+
+    def test_constant_train_batch_is_finite(self):
+        # zero batch variance: the norm divides by sqrt(eps) alone
+        state = BatchNormState(np.zeros(2), np.ones(2))
+        gamma, beta = np.array([1.5, -0.5]), np.array([2.5, 0.25])
+        out, cache = batchnorm_apply(state, gamma, beta, np.full((3, 4, 2), 7.0))
+        assert np.array_equal(out, np.broadcast_to(beta, out.shape))
+        np.testing.assert_allclose(state.running_mean, 0.7)
+        np.testing.assert_allclose(state.running_var, 0.9)
+        dx, dgamma, dbeta = batchnorm_backward(state, gamma, cache, Rng(8).normal((3, 4, 2)))
+        for grad in (dx, dgamma, dbeta):
+            assert np.isfinite(grad).all()
+        assert not dgamma.any()
 
     def test_degenerate_batch_rejected(self):
         state = BatchNormState(np.zeros(1), np.ones(1))
@@ -393,6 +427,12 @@ class TestAttention:
         o_out, o_w = sdpa_oracle(q, k, v)
         assert np.abs(out - o_out).max() < 1e-10
         assert np.abs(weights - o_w).max() < 1e-10
+
+    def test_weights_are_bitwise_the_softmax_of_scaled_scores(self):
+        rng = Rng(11)
+        q, k, v = (rng.normal((2, 3, 5, 4)) * 5 for _ in range(3))
+        _, weights = scaled_dot_product_attention(q, k, v)
+        assert np.array_equal(weights, softmax_rows(q @ k.swapaxes(-1, -2) / np.sqrt(4)))
 
     def test_weight_rows_normalized_for_wild_inputs(self):
         rng = Rng(10)

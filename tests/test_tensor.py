@@ -6,7 +6,6 @@ from inceptive.tensor import (
     ParamStore,
     Rng,
     clip_global_norm,
-    concat_features,
     glorot_uniform,
     grad_check,
     load_checkpoint,
@@ -32,39 +31,6 @@ class TestRng:
         a = Rng(0).child("epoch", 3).random(4)
         b = Rng(0).child("epoch", 4).random(4)
         assert not np.array_equal(a, b)
-
-
-class TestConcatFeatures:
-    def test_channel_slices_are_bitwise(self):
-        rng = Rng(5)
-        parts = [rng.normal((2, 3, c)) for c in (1, 4, 2)]
-        out = concat_features(parts)
-        assert out.shape == (2, 3, 7)
-        assert np.array_equal(out[..., 0:1], parts[0])
-        assert np.array_equal(out[..., 1:5], parts[1])
-        assert np.array_equal(out[..., 5:7], parts[2])
-
-    def test_single_part_identity(self):
-        x = Rng(1).normal((2, 2, 3))
-        assert np.array_equal(concat_features([x]), x)
-
-    def test_four_branch_widths(self):
-        parts = [np.zeros((1, 5, 32)) for _ in range(4)]
-        assert concat_features(parts).shape == (1, 5, 128)
-
-    def test_index_bookkeeping(self):
-        a = np.array([[[1.0], [2.0]]])
-        b = np.array([[[10.0], [20.0]]])
-        out = concat_features([a, b])
-        assert out.tolist() == [[[1.0, 10.0], [2.0, 20.0]]]
-
-    def test_mismatched_length_rejected(self):
-        with pytest.raises(DimensionError):
-            concat_features([np.zeros((1, 2, 3)), np.zeros((1, 3, 3))])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(DimensionError):
-            concat_features([])
 
 
 class TestParamStore:

@@ -370,6 +370,24 @@ class TestRunTraining:
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.value, best_state[name])
 
+    def test_without_validation_tests_the_final_model(self):
+        """No validation split: the epoch loop is the same, but the final
+        model is tested and no snapshot is taken."""
+        train, test = toy_data(n=24, seed=15), toy_data(n=8, seed=16)
+        cfg = TrainConfig(seq_len=6, batch_size=8, epochs=3, lr=2e-3)
+        model = toy_model(seed=14)
+        report, best_state = run_training(model, train, None, test, cfg, Rng(23))
+        assert best_state is None
+        assert (report.best_epoch, report.best_value) == (0, 0.0)
+        assert [e["epoch"] for e in report.epochs] == [1, 2, 3]
+        assert all("val" not in e for e in report.epochs)
+        assert report.test == evaluate(model, test, cfg)[0]
+        # the same trajectory as a run with validation, up to its last epoch
+        ref_model = toy_model(seed=14)
+        ref, _ = run_training(ref_model, train, test, test, cfg, Rng(23))
+        assert report.epochs == [{k: v for k, v in e.items() if k != "val"} for e in ref.epochs]
+        assert report.test == ref.epochs[-1]["val"]
+
 
 class TestHeadOnly:
     def test_frozen_input_training_runs(self):
@@ -465,6 +483,8 @@ class TestZeroVarianceBatch:
         _, dlogits = softmax_cross_entropy(mp.logits, np.arange(4) % 3)
         model.params.zero_grads()
         model.backward(mp, dlogits)
+        for name, p in model.params.items():
+            assert np.isfinite(p.grad).all(), name
         assert np.isfinite(clip_global_norm(model.params, 1.0))
         for name, value in model.head.buffers().items():
             assert np.isfinite(value).all(), name
