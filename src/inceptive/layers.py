@@ -108,8 +108,9 @@ def conv1d_forward(branch: ConvBranch, h: np.ndarray, out: np.ndarray | None = N
     kernel offsets j of ``weight[f,j,:] . h_padded[b,i+j,:]`` plus bias, if any.
 
     Output is ``B x L x c`` with L identical to the input length, written
-    into ``out`` when given. All taps come from one GEMM, ``(B*L, d) @ (d, k*c)``;
-    each tap's slice is then added to the output shifted by its offset (the kn2row form).
+    into ``out`` when given. All taps come from one GEMM,
+    ``(B*L, d) @ (d, k*c)``; each tap's slice is then added to the output
+    shifted by its offset (the kn2row form).
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 3:
