@@ -19,7 +19,6 @@ from .harness import load_config, run_attnmap, run_eval, run_stats, run_train, r
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="flat JSON config file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", choices=("inceptive", "baseline"), default="inceptive")
     p.add_argument("--variant", choices=("full", "no_attn", "no_dense"), default="full")
     p.add_argument("--out", default="out", help="output directory")
@@ -43,10 +42,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run seeded training runs and summarize")
     _common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=10)
 
     p = sub.add_parser("xval", help="k-fold comparison of baseline and inceptive models")
     _common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=int, default=10)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
@@ -128,9 +129,23 @@ _DISPATCH = {
 }
 
 
+def _check_out(args) -> None:
+    """``--out`` names a directory to write into, made if missing. Its
+    nearest existing path (itself or an ancestor) must be a directory; a
+    file there is refused before any work starts."""
+    if getattr(args, "out", None) is None:
+        return
+    path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {args.out}: {path} exists and is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args)
         _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

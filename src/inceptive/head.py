@@ -183,10 +183,17 @@ class HeadState:
         return head_backward(self.cfg, self.store, self, hp, dlogits, need_input_grad)
 
     def received(self, hp: HeadPass) -> np.ndarray:
-        """The received-attention map, computed from the forward's weight rows."""
+        """The received-attention map, ``(B, L)``. The forward keeps no
+        weight rows, so they are recomputed from its cached queries and keys
+        one chunk of examples at a time (bitwise the forward's rows), and
+        :func:`attention_received` checks and averages each chunk."""
         if not self.cfg.has_attention:
             raise ConfigError(f"variant {self.cfg.variant!r} has no attention to export")
-        return attention_received(hp.mha.weights)
+        mha = hp.mha
+        received = np.empty(mha.x.shape[:2])
+        for s in mha.chunks():
+            received[s] = attention_received(mha.weight_rows(s))
+        return received
 
     def set_mode(self, train: bool) -> None:
         mode = "train" if train else "eval"

@@ -1,12 +1,15 @@
 """Differentiable building blocks with explicit forward and backward passes.
 
 There is no autodiff tape: every operation ships its own adjoint, and the
-model modules chain them by hand. One rule holds for every adjoint: it reads
-its forward's input, output, mask or cache, and never re-runs the forward.
-The norms return ``(centered, inv_std)`` as their cache, the attention
-forwards a :class:`MhaCache` or :class:`MhaMeanCache`, dropout its mask, and
-the ReLU adjoint reads the ReLU's output. Each pair is checkable with
-:func:`inceptive.tensor.grad_check`.
+model modules chain them by hand. One rule holds for every adjoint but one:
+it reads its forward's input, output, mask or cache, and never re-runs the
+forward. The norms return ``(centered, inv_std)`` as their cache, the
+attention forwards a :class:`MhaCache` or :class:`MhaMeanCache`, dropout its
+mask, and the ReLU adjoint reads the ReLU's output. The deliberate exception
+is :func:`mha_mean_backward`: its cache keeps no ``(B, h, L, L)`` weight
+rows, so it recomputes them from the cached queries and keys, one chunk of
+at most ``_SCORE_CHUNK`` score elements (at least one example) at a time.
+Each pair is checkable with :func:`inceptive.tensor.grad_check`.
 
 Shapes follow the batch-first convention ``B x L x features`` throughout.
 """
@@ -443,11 +446,13 @@ def _project_heads(x2: np.ndarray, w: np.ndarray, b: int, length: int) -> np.nda
 def _project_heads_backward(
     x2: np.ndarray, w: np.ndarray, dproj: np.ndarray, dx2: np.ndarray, dx_start: int = 0
 ) -> np.ndarray:
-    """Adjoint of :func:`_project_heads`: adds the gradient of input columns
-    ``dx_start:`` into ``dx2`` (``B*L x (d_in - dx_start)``) and returns the
-    weight gradient."""
+    """Adjoint of :func:`_project_heads` given the projection's gradient as
+    ``(B, L, h, d_head)``: adds the gradient of input columns ``dx_start:``
+    into ``dx2`` (``B*L x (d_in - dx_start)``) and returns the weight
+    gradient. A contiguous ``dproj`` is read as the flat ``(B*L, h*d_head)``
+    view, without a copy."""
     h, d_in, d_head = w.shape
-    flat = dproj.transpose(0, 2, 1, 3).reshape(x2.shape[0], h * d_head)
+    flat = dproj.reshape(x2.shape[0], h * d_head)
     dx2 += flat @ w[:, dx_start:, :].transpose(1, 0, 2).reshape(d_in - dx_start, h * d_head).T
     return (x2.T @ flat).reshape(d_in, h, d_head).transpose(1, 0, 2)
 
@@ -481,20 +486,43 @@ def mha_backward(
     dq, dk, dv = sdpa_backward(cache.q, cache.k, cache.v, cache.weights, dout)
     x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros_like(x2)
-    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2)
-    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2)
-    dw_v = _project_heads_backward(x2, params.w_v, dv, dx2)
+    dw_q = _project_heads_backward(x2, params.w_q, dq.transpose(0, 2, 1, 3), dx2)
+    dw_k = _project_heads_backward(x2, params.w_k, dk.transpose(0, 2, 1, 3), dx2)
+    dw_v = _project_heads_backward(x2, params.w_v, dv.transpose(0, 2, 1, 3), dx2)
     return dx2.reshape(b, length, d_in), MhaParams(dw_q, dw_k, dw_v, dw_o)
+
+
+# Score elements (B * h * L * L) per chunk of weight rows in the pooled
+# attention: at least one example per chunk, 4 per chunk at the paper shape
+# (h = 8, L = 128).
+_SCORE_CHUNK = 1 << 19
+
+
+def _example_chunks(b: int, h: int, length: int) -> list[slice]:
+    """Example slices in order, each as many examples as keep their weight
+    rows within ``_SCORE_CHUNK`` elements (at least one)."""
+    step = max(1, _SCORE_CHUNK // (h * length * length))
+    return [slice(s, s + step) for s in range(0, b, step)]
 
 
 @dataclass
 class MhaMeanCache:
+    """The pooled attention's cache. It holds no ``(B, h, L, L)`` weight
+    rows: :meth:`weight_rows` recomputes them from ``q`` and ``k``, one
+    chunk of examples (:meth:`chunks`) at a time."""
+
     x: np.ndarray
     q: np.ndarray
     k: np.ndarray
-    weights: np.ndarray  # (B, h, L, L)
     colsum: np.ndarray  # (B, h, L), weight-row column sums
     merged_mean: np.ndarray  # (B, h * d_head), L-mean of the merged heads
+
+    def chunks(self) -> list[slice]:
+        return _example_chunks(*self.q.shape[:3])
+
+    def weight_rows(self, s: slice) -> np.ndarray:
+        """The weight rows of examples ``s``, bitwise the forward's."""
+        return _attention_weights(self.q[s], self.k[s])
 
 
 def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaMeanCache]:
@@ -506,7 +534,8 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
     the weight rows. So the values, the attended rows and the full-size
     output projection are never formed: each head's value projection and
     the output projection act on one ``(B, .)`` row per example. The weight
-    rows are bitwise those of :func:`mha_forward`.
+    rows are formed one chunk of examples at a time, bitwise those of
+    :func:`mha_forward`, and only their column sums are kept.
     """
     h, d_in, d_head = params.w_q.shape
     if x.shape[-1] != d_in:
@@ -515,11 +544,12 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
     x2 = x.reshape(b * length, d_in)
     q = _project_heads(x2, params.w_q, b, length)
     k = _project_heads(x2, params.w_k, b, length)
-    weights = _attention_weights(q, k)
-    colsum = weights.sum(axis=2)
+    colsum = np.empty((b, h, length))
+    for s in _example_chunks(b, h, length):
+        colsum[s] = _attention_weights(q[s], k[s]).sum(axis=2)
     xbar = (colsum / length) @ x  # (B, h, d_in)
     merged_mean = (xbar.transpose(1, 0, 2) @ params.w_v).transpose(1, 0, 2).reshape(b, h * d_head)
-    return merged_mean @ params.w_o, MhaMeanCache(x, q, k, weights, colsum, merged_mean)
+    return merged_mean @ params.w_o, MhaMeanCache(x, q, k, colsum, merged_mean)
 
 
 def mha_mean_backward(
@@ -535,6 +565,13 @@ def mha_mean_backward(
     Exact: it equals :func:`mha_backward` fed ``dpooled / L`` at every
     position.
 
+    The one adjoint that re-runs part of its forward: the weight rows are
+    recomputed per chunk of examples from the cached ``q`` and ``k``, and
+    each chunk's score gradient is formed and consumed before the next
+    chunk's rows exist. The query and key gradients are written straight
+    into ``(B, L, h, d_head)`` buffers, which the projection adjoints read
+    as flat matrices.
+
     Only input columns ``dx_start:`` get a gradient: the returned ``dx`` is
     ``B x L x (d_in - dx_start)``, and only those rows of each projection
     enter its input-gradient product. The parameter gradients do not depend
@@ -542,7 +579,7 @@ def mha_mean_backward(
     """
     h, d_in, d_head = params.w_q.shape
     b, length, _ = cache.x.shape
-    weights, colsum = cache.weights, cache.colsum
+    colsum = cache.colsum
     dw_o = cache.merged_mean.T @ dpooled
     g_heads = (dpooled @ params.w_o.T / length).reshape(b, h, d_head).transpose(1, 0, 2)  # (h, B, d_head)
     # wg[b,h] = W_v[h] g[b,h]: the value gradient dv[b,h,j] = colsum[b,h,j] g[b,h] seen from x
@@ -552,14 +589,23 @@ def mha_mean_backward(
     u = wg @ cache.x.swapaxes(1, 2)  # (B, h, L)
     if not 0 <= dx_start < d_in:
         raise DimensionError(f"dx_start must be in [0, {d_in}), got {dx_start}")
-    # one (B, h, L, L) buffer; dq and dk are each formed where their adjoint reads them
-    dscores = u[:, :, None, :] - (weights @ u[..., None])
-    dscores *= weights
-    dscores /= np.sqrt(d_head)
+    dq = np.empty((b, length, h, d_head))
+    dk = np.empty((b, length, h, d_head))
+    for s in cache.chunks():
+        weights = cache.weight_rows(s)
+        dscores = u[s, :, None, :] - (weights @ u[s, :, :, None])
+        dscores *= weights
+        del weights  # one chunk's rows alive at a time
+        dscores /= np.sqrt(d_head)
+        np.matmul(dscores, cache.k[s], out=dq[s].transpose(0, 2, 1, 3))
+        np.matmul(dscores.swapaxes(-1, -2), cache.q[s], out=dk[s].transpose(0, 2, 1, 3))
+        del dscores
     x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros((b * length, d_in - dx_start))
-    dw_q = _project_heads_backward(x2, params.w_q, dscores @ cache.k, dx2, dx_start)
-    dw_k = _project_heads_backward(x2, params.w_k, dscores.swapaxes(-1, -2) @ cache.q, dx2, dx_start)
+    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2, dx_start)
+    del dq
+    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2, dx_start)
+    del dk
     dx = dx2.reshape(b, length, d_in - dx_start)
     dx += colsum.swapaxes(1, 2) @ wg[..., dx_start:]
     dw_v = (colsum @ cache.x).transpose(1, 2, 0) @ g_heads

@@ -448,6 +448,33 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["synth", "train", "xval", "eval", "attnmap"])
+    def test_out_naming_a_file_exits_2(self, workspace, capsys, command, below):
+        """Refused before any work: the checkpoint named here does not exist,
+        and the file at (or above) ``--out`` is left as it was."""
+        root, cfg = workspace
+        target = root / f"taken_{command}_{below}"
+        target.write_bytes(b"not a directory\n")
+        args = [command, "--out", str(target / "sub" if below else target)]
+        if command != "synth":
+            args += ["--config", str(cfg)]
+        if command in ("eval", "attnmap"):
+            args += ["--checkpoint", str(root / "missing.ckpt")]
+        assert main(args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert target.read_bytes() == b"not a directory\n"
+
+    @pytest.mark.parametrize("command", ["eval", "attnmap"])
+    def test_seed_is_refused_where_nothing_is_drawn(self, workspace, capsys, command):
+        root, cfg = workspace
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--checkpoint", str(root / "missing.ckpt"),
+                  "--seed", "1", "--out", str(root / "seeded")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (root / "seeded").exists()
+
     def test_unknown_config_key_exits_2(self, workspace, capsys):
         root, _ = workspace
         bad = root / "typo.json"

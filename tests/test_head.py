@@ -20,8 +20,18 @@ from inceptive.head import (
     write_attention_csv,
     write_attention_pgm,
 )
-from inceptive.layers import BatchNormState, DropoutSpec, batchnorm_apply, conv_branch, conv1d_forward, relu
+from inceptive.layers import (
+    BatchNormState,
+    DropoutSpec,
+    MhaParams,
+    batchnorm_apply,
+    conv_branch,
+    conv1d_forward,
+    mha_mean_backward,
+    relu,
+)
 import inceptive.head
+import inceptive.layers
 from inceptive.model import HeadOnlyClassifier
 from inceptive.tensor import Rng, grad_check
 from inceptive.training import softmax_cross_entropy
@@ -285,7 +295,7 @@ class TestHeadForward:
         attended, amap, _ = multi_head_attention(cfg, store, hp.r)
         want = adaptive_avg_pool(attended)
         assert np.abs(hp.pooled - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(attention_received(hp.mha.weights), amap)
+        assert np.array_equal(state.received(hp), amap)
 
     def test_mismatched_variant_store_rejected(self):
         cfg_nd, store_nd, state_nd = build("no_dense")
@@ -486,3 +496,42 @@ class TestExports:
         assert lines[2] == "255"
         assert lines[3].split() == ["128", "255"]
         assert lines[4].split() == ["255", "255"]
+
+
+class TestChunkedWeightRows:
+    """The pooled attention forms its weight rows one chunk of examples at
+    a time, in the forward, the backward and the received map. Any chunking
+    is bitwise the whole batch in one chunk."""
+
+    B, L = 9, 6
+
+    def _run(self, monkeypatch, per_chunk):
+        monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", per_chunk * TOY["n_heads"] * self.L**2)
+        cfg, store, state = build(dropout_rate=0.1)
+        state.set_mode(True)
+        h = Rng(1).normal((self.B, self.L, cfg.d))
+        hp = state.forward(h, Rng(2))
+        _, dlogits = softmax_cross_entropy(hp.logits, np.arange(self.B) % 3)
+        store.zero_grads()
+        out = {"dh": state.backward(hp, dlogits)}
+        out.update((name, p.grad.copy()) for name, p in store.items())
+        params = MhaParams.read(store, "head.attn.")
+        dpooled = Rng(3).normal(hp.pooled.shape)
+        for start in (0, cfg.d):
+            out[f"dx_{start}"], grads = mha_mean_backward(params, hp.mha, dpooled, start)
+            out.update((f"{n}_{start}", getattr(grads, n)) for n in ("w_q", "w_k", "w_v", "w_o"))
+        out["pooled"], out["colsum"] = hp.pooled, hp.mha.colsum
+        state.set_mode(False)
+        out["received"] = state.received(state.forward(h))
+        sizes = [len(range(self.B)[s]) for s in hp.mha.chunks()]
+        return sizes, out
+
+    def test_any_chunking_is_bitwise_the_whole_batch(self, monkeypatch):
+        sizes, whole = self._run(monkeypatch, self.B)
+        assert sizes == [self.B]
+        for per_chunk, want_sizes in ((1, [1] * self.B), (4, [4, 4, 1])):
+            sizes, got = self._run(monkeypatch, per_chunk)
+            assert sizes == want_sizes
+            assert got.keys() == whole.keys()
+            for name, value in whole.items():
+                assert np.array_equal(got[name], value), (per_chunk, name)

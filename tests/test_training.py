@@ -467,6 +467,28 @@ class TestFrozenFloat32Inputs:
                 tracemalloc.stop()
         assert peaks[np.float32] <= peaks[np.float64] <= 11.5 * unit, {k.__name__: v / unit for k, v in peaks.items()}
 
+    def test_many_head_train_step_peak_memory(self):
+        """Traced peak of one train step at B=8, L=128, d=32, c=8, h=8, where
+        one (B, h, L, L) float64 array is 16 (B, L, d_r) float64 tensors: at
+        most 28 such tensors. Caching the weight rows and forming the whole
+        score gradient read 39.1; rows recomputed per chunk of examples read
+        22.4, so the bound leaves 25% of headroom above that."""
+        cfg = ModelConfig(d=32, c=8, n_heads=8, dense_dim=32, n_classes=3, dropout_rate=0.1)
+        unit = 8 * 128 * cfg.d_r * 8
+        model = HeadOnlyClassifier(cfg, "inceptive", Rng(0))
+        model.set_mode(True)
+        h = Rng(1).normal((8, 128, 32))
+        tracemalloc.start()
+        try:
+            mp = model.forward(h, Rng(2))
+            _, dlogits = softmax_cross_entropy(mp.logits, np.arange(8) % 3)
+            model.params.zero_grads()
+            model.backward(mp, dlogits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * unit, peak / unit
+
 
 class TestZeroVarianceBatch:
     """All-zero hidden states make every convolution output 0, so each
