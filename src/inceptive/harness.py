@@ -240,6 +240,20 @@ def run_train(
     return summary
 
 
+def _pooled_rows(bundle: DataBundle, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``idx``, in order, of the train split followed by the val split,
+    read from the two splits without concatenating them."""
+    n_train = len(bundle.train[0])
+    first = idx < n_train
+    out = []
+    for a, b in zip(bundle.train, bundle.val):
+        rows = np.empty((len(idx), *a.shape[1:]), dtype=np.result_type(a, b))
+        rows[first] = a[idx[first]]
+        rows[~first] = b[idx[~first] - n_train]
+        out.append(rows)
+    return out[0], out[1]
+
+
 def run_xval(
     settings: RunSettings,
     variant: str = "full",
@@ -248,20 +262,19 @@ def run_xval(
     out_dir: str = "out",
 ) -> dict:
     """K-fold comparison of the baseline and enrichment models on identical
-    fold assignments. Each fold trains for the configured epochs and scores
-    the final model on the held-out part (no within-fold selection); each
-    fold's epoch records are kept beside its score."""
-    bundle = load_data(settings)
-    xs = np.concatenate([bundle.train[0], bundle.val[0]], axis=0)
-    ys = np.concatenate([bundle.train[1], bundle.val[1]], axis=0)
-    folds = kfold_split(len(xs), k, seed)
+    fold assignments over the train and val splits (the test split is not
+    read). Each fold trains for the configured epochs and scores the final
+    model on the held-out part (no within-fold selection); each fold's
+    epoch records are kept beside its score."""
+    bundle = load_data(settings, ("train", "val"))
+    folds = kfold_split(len(bundle.train[0]) + len(bundle.val[0]), k, seed)
     results: dict = {"k": k, "seed": seed, "metric": settings.train.selection_metric, "models": {}}
     for kind in ("baseline", "inceptive"):
         fold_scores, fold_epochs = [], []
         for fold_i, (train_idx, val_idx) in enumerate(folds):
             rng = Rng(seed).child("fold", fold_i, kind)
             model = build_model(settings, bundle, kind, variant, rng.child("init"))
-            train, held_out = (xs[train_idx], ys[train_idx]), (xs[val_idx], ys[val_idx])
+            train, held_out = _pooled_rows(bundle, train_idx), _pooled_rows(bundle, val_idx)
             report, _ = run_training(model, train, None, held_out, settings.train, rng.child("train"))
             fold_scores.append(selection_value(report.test, settings.train.selection_metric))
             fold_epochs.append(report.epochs)

@@ -5,10 +5,17 @@ model modules chain them by hand. One rule holds for every adjoint but one:
 it reads its forward's input, output, mask or cache, and never re-runs the
 forward. The norms return ``(centered, inv_std)`` as their cache, the
 attention forwards a :class:`MhaCache` or :class:`MhaMeanCache`, dropout its
-mask, and the ReLU adjoint reads the ReLU's output. The deliberate exception
-is :func:`mha_mean_backward`: its cache keeps no ``(B, h, L, L)`` weight
-rows, so it recomputes them from the cached queries and keys, one chunk of
-at most ``_SCORE_CHUNK`` score elements (at least one example) at a time.
+mask, and the ReLU adjoint reads the ReLU's output. :func:`sdpa_backward`
+reads the forward's attended output as well as its weight rows: its softmax
+row term is ``rowsum(dout * out)`` over ``d_head``, not a sum over the ``L``
+keys. Norm statistics are BLAS matvecs over the ``(rows, features)`` view:
+layer norm's row means, and both norms' parameter-gradient sums (batch
+norm's forward statistics stay numpy reductions, see
+:func:`batchnorm_apply`). The deliberate exception
+is :func:`mha_mean_backward`: when a batch spans more than one chunk of at
+most ``_SCORE_CHUNK`` score elements (at least one example), its cache
+keeps no ``(B, h, L, L)`` weight rows, so it recomputes them from the
+cached queries and keys, one chunk at a time.
 Each pair is checkable with :func:`inceptive.tensor.grad_check`.
 
 Shapes follow the batch-first convention ``B x L x features`` throughout.
@@ -186,16 +193,20 @@ def batchnorm_apply(
     if x.shape[2] != state.running_mean.shape[0]:
         raise DimensionError(f"channel mismatch: input {x.shape[2]} vs state {state.running_mean.shape[0]}")
     if state.mode == "train":
-        if x.shape[0] * x.shape[1] < 2:
-            raise DegenerateBatchError(
-                f"batch norm needs at least 2 pooled positions, got {x.shape[0] * x.shape[1]}"
-            )
-        mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
+        n = x.shape[0] * x.shape[1]
+        if n < 2:
+            raise DegenerateBatchError(f"batch norm needs at least 2 pooled positions, got {n}")
+        # numpy's reductions, not matvecs: they round each channel's sum
+        # alike at any channel count, so one norm over the branches' concat
+        # is bitwise each branch's own norm
+        mean = x.mean(axis=(0, 1))
+        centered = x - mean
+        var = np.square(centered).sum(axis=(0, 1)) / n  # bitwise x.var(axis=(0, 1))
         state.running_mean[...] = (1 - state.momentum) * state.running_mean + state.momentum * mean
         state.running_var[...] = (1 - state.momentum) * state.running_var + state.momentum * var
     else:
         mean, var = state.running_mean, state.running_var
-    centered = x - mean
+        centered = x - mean
     std = np.sqrt(var + state.eps)
     y = centered / std  # then gamma * y + beta, in place
     y *= gamma
@@ -211,19 +222,25 @@ def batchnorm_backward(
     Train mode differentiates through the batch statistics (each input
     element moves the shared mean and variance); eval mode treats the
     running statistics as constants. Running estimates are not touched.
+
+    The per-channel sums are matvecs over the ``(B*L, c)`` view. In train
+    mode ``dx = inv_std * (dxhat - sum(dxhat) / n - xhat * sum(dxhat * xhat) / n)``
+    with ``dxhat = gamma * dy``, so its two sums are ``gamma * dbeta`` and
+    ``gamma * dgamma``.
     """
     centered, inv_std = cache
     dy = np.asarray(dy, dtype=np.float64)
+    n, c = centered.shape[0] * centered.shape[1], centered.shape[2]
+    ones = np.ones(n)
     xhat = centered * inv_std
-    dgamma = (dy * xhat).sum(axis=(0, 1))
-    dbeta = dy.sum(axis=(0, 1))
-    dxhat = dy * gamma
-    if state.mode != "train":
-        return dxhat * inv_std, dgamma, dbeta
-    n = centered.shape[0] * centered.shape[1]
-    dvar = (dxhat * centered).sum(axis=(0, 1)) * (-0.5) * inv_std**3
-    dmean = -(dxhat.sum(axis=(0, 1))) * inv_std + dvar * (-2.0) * centered.mean(axis=(0, 1))
-    dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
+    dbeta = ones @ dy.reshape(n, c)
+    dgamma = ones @ (dy * xhat).reshape(n, c)
+    dx = dy * gamma  # dxhat
+    if state.mode == "train":
+        dx -= gamma * dbeta / n
+        xhat *= gamma * dgamma / n
+        dx -= xhat
+    dx *= inv_std
     return dx, dgamma, dbeta
 
 
@@ -301,7 +318,7 @@ def linear_backward(
     dy2 = dy.reshape(-1, dy.shape[-1])
     dx = dy @ w.T
     dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
+    db = np.ones(len(dy2)) @ dy2
     return dx, dw, db
 
 
@@ -313,30 +330,44 @@ def layer_norm(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Normalize the trailing axis to zero mean, unit population variance
     (eps 1e-5), then apply the learned affine. Returns the output and the
-    cache ``(centered, inv_std)``."""
+    cache ``(centered, inv_std)``. Row means are matvecs with a ``1/n``
+    vector over the ``(rows, n)`` view."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < 2:
-        raise DimensionError(f"layer norm needs >= 2 features, got {x.shape[-1]}")
-    centered = x - x.mean(axis=-1, keepdims=True)
-    std = np.sqrt(x.var(axis=-1, keepdims=True) + _LN_EPS)
-    return gamma * centered / std + beta, (centered, 1.0 / std)
+    n = x.shape[-1]
+    if n < 2:
+        raise DimensionError(f"layer norm needs >= 2 features, got {n}")
+    avg = np.full(n, 1.0 / n)
+    centered = x - (x.reshape(-1, n) @ avg).reshape(*x.shape[:-1], 1)
+    y = np.square(centered)
+    inv_std = 1.0 / np.sqrt((y.reshape(-1, n) @ avg).reshape(*x.shape[:-1], 1) + _LN_EPS)
+    np.multiply(centered, inv_std, out=y)
+    y *= gamma
+    y += beta
+    return y, (centered, inv_std)
 
 
 def layer_norm_backward(
     gamma: np.ndarray, cache: tuple[np.ndarray, np.ndarray], dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))``
+    per row, with ``dxhat = gamma * dy``. The row means are matvecs of
+    ``dy`` and ``dy * xhat`` with ``gamma / n``; the parameter gradients
+    are matvecs with a ones vector over the rows."""
     centered, inv_std = cache
-    xhat = centered * inv_std
-    lead = tuple(range(xhat.ndim - 1))
-    dgamma = (dy * xhat).sum(axis=lead)
-    dbeta = dy.sum(axis=lead)
-    dxhat = dy * gamma
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    return dx, dgamma, dbeta
+    n = centered.shape[-1]
+    dy = np.asarray(dy, dtype=np.float64)
+    dy2 = dy.reshape(-1, n)
+    xhat = (centered * inv_std).reshape(-1, n)
+    dyx = dy2 * xhat
+    ones = np.ones(len(dy2))
+    dgamma, dbeta = ones @ dyx, ones @ dy2
+    gbar = gamma / n
+    dx = dy2 * gamma  # dxhat
+    dx -= (dy2 @ gbar)[:, None]
+    xhat *= (dyx @ gbar)[:, None]
+    dx -= xhat
+    dx *= inv_std.reshape(-1, 1)
+    return dx.reshape(dy.shape), dgamma, dbeta
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -386,18 +417,26 @@ def sdpa_backward(
     k: np.ndarray,
     v: np.ndarray,
     weights: np.ndarray,
+    out: np.ndarray,
     dout: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjoint of attention given the forward's weight rows.
+    """Adjoint of attention given the forward's weight rows and attended
+    output ``out``.
 
     Gradient flows only through the attended output; the weight rows
-    returned by the forward are diagnostics.
+    returned by the forward are diagnostics. The softmax adjoint's row term
+    ``sum_j dW[i,j] W[i,j]`` equals ``sum_d dout[i,d] out[i,d]``, since
+    ``out = W v`` and ``dW = dout v^T`` (the FlashAttention identity), so it
+    is a sum over ``d_head`` rather than over the ``L`` keys.
     """
     d = q.shape[-1]
     dv = weights.swapaxes(-1, -2) @ dout
-    dweights = dout @ v.swapaxes(-1, -2)
-    # softmax rows: dS = W * (dW - sum(dW * W, row))
-    dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+    if weights.shape[-1] == 1:  # one key: every weight is the constant 1, and the scores get no gradient
+        return np.zeros(q.shape), np.zeros(k.shape), dv
+    # softmax rows: dS = W * (dW - rowsum(dout * out)), formed in place on dW
+    dscores = dout @ v.swapaxes(-1, -2)
+    dscores -= (dout * out).sum(axis=-1, keepdims=True)
+    dscores *= weights
     dscores /= np.sqrt(d)
     dq = dscores @ k
     dk = dscores.swapaxes(-1, -2) @ q
@@ -483,7 +522,8 @@ def mha_backward(
     dw_o = cache.merged.reshape(-1, h * d_head).T @ dy.reshape(-1, dy.shape[-1])
     dmerged = dy @ params.w_o.T
     dout = dmerged.reshape(b, length, h, d_head).transpose(0, 2, 1, 3)
-    dq, dk, dv = sdpa_backward(cache.q, cache.k, cache.v, cache.weights, dout)
+    out = cache.merged.reshape(b, length, h, d_head).transpose(0, 2, 1, 3)
+    dq, dk, dv = sdpa_backward(cache.q, cache.k, cache.v, cache.weights, out, dout)
     x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros_like(x2)
     dw_q = _project_heads_backward(x2, params.w_q, dq.transpose(0, 2, 1, 3), dx2)
@@ -507,21 +547,26 @@ def _example_chunks(b: int, h: int, length: int) -> list[slice]:
 
 @dataclass
 class MhaMeanCache:
-    """The pooled attention's cache. It holds no ``(B, h, L, L)`` weight
+    """The pooled attention's cache. When the batch spans more than one
+    chunk of examples (:meth:`chunks`) it holds no ``(B, h, L, L)`` weight
     rows: :meth:`weight_rows` recomputes them from ``q`` and ``k``, one
-    chunk of examples (:meth:`chunks`) at a time."""
+    chunk at a time. A one-chunk batch keeps its rows (``rows``), which
+    are then no larger than one chunk."""
 
     x: np.ndarray
     q: np.ndarray
     k: np.ndarray
     colsum: np.ndarray  # (B, h, L), weight-row column sums
     merged_mean: np.ndarray  # (B, h * d_head), L-mean of the merged heads
+    rows: np.ndarray | None = None  # (B, h, L, L), kept for a one-chunk batch only
 
     def chunks(self) -> list[slice]:
         return _example_chunks(*self.q.shape[:3])
 
     def weight_rows(self, s: slice) -> np.ndarray:
         """The weight rows of examples ``s``, bitwise the forward's."""
+        if self.rows is not None:
+            return self.rows[s]
         return _attention_weights(self.q[s], self.k[s])
 
 
@@ -535,7 +580,8 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
     output projection are never formed: each head's value projection and
     the output projection act on one ``(B, .)`` row per example. The weight
     rows are formed one chunk of examples at a time, bitwise those of
-    :func:`mha_forward`, and only their column sums are kept.
+    :func:`mha_forward`, and only their column sums are kept, unless the
+    whole batch is one chunk.
     """
     h, d_in, d_head = params.w_q.shape
     if x.shape[-1] != d_in:
@@ -545,11 +591,17 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
     q = _project_heads(x2, params.w_q, b, length)
     k = _project_heads(x2, params.w_k, b, length)
     colsum = np.empty((b, h, length))
-    for s in _example_chunks(b, h, length):
-        colsum[s] = _attention_weights(q[s], k[s]).sum(axis=2)
+    chunks = _example_chunks(b, h, length)
+    rows = None
+    for s in chunks:
+        weights = _attention_weights(q[s], k[s])
+        colsum[s] = weights.sum(axis=2)
+        if len(chunks) == 1:
+            rows = weights
+        del weights  # one chunk's rows alive at a time
     xbar = (colsum / length) @ x  # (B, h, d_in)
     merged_mean = (xbar.transpose(1, 0, 2) @ params.w_v).transpose(1, 0, 2).reshape(b, h * d_head)
-    return merged_mean @ params.w_o, MhaMeanCache(x, q, k, colsum, merged_mean)
+    return merged_mean @ params.w_o, MhaMeanCache(x, q, k, colsum, merged_mean, rows)
 
 
 def mha_mean_backward(
@@ -565,9 +617,10 @@ def mha_mean_backward(
     Exact: it equals :func:`mha_backward` fed ``dpooled / L`` at every
     position.
 
-    The one adjoint that re-runs part of its forward: the weight rows are
-    recomputed per chunk of examples from the cached ``q`` and ``k``, and
-    each chunk's score gradient is formed and consumed before the next
+    The one adjoint that re-runs part of its forward: unless the batch is
+    one chunk (whose rows the cache keeps), the weight rows are recomputed
+    per chunk of examples from the cached ``q`` and ``k``, and each
+    chunk's score gradient is formed and consumed before the next
     chunk's rows exist. The query and key gradients are written straight
     into ``(B, L, h, d_head)`` buffers, which the projection adjoints read
     as flat matrices.

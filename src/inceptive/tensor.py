@@ -99,18 +99,56 @@ class Param:
 class ParamStore:
     """Ordered map from parameter path (e.g. ``head.dense.weight``) to
     a value/grad pair. Iteration order is insertion order and names are
-    unique, so optimizer sweeps and serialization are deterministic."""
+    unique, so optimizer sweeps and serialization are deterministic.
+
+    On first use of :meth:`arena` (``init_adamw`` calls it) the store is
+    packed: every value and every gradient is copied, in insertion order,
+    into one flat float64 buffer each, and each :class:`Param` is rebound
+    to views of them. Whole-store sweeps (AdamW in blocks of
+    ``training._ADAMW_BLOCK`` elements, gradient zeroing, clipping's scale)
+    then run over the two buffers instead of one pair per parameter. A
+    packed store is closed: :meth:`add` raises ``ConfigError``. Eval-only
+    runs never pack.
+    """
 
     def __init__(self):
         self._entries: dict[str, Param] = {}
+        self._arena: tuple[np.ndarray, np.ndarray] | None = None
+        self._slices: dict[str, slice] = {}
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
+        if self._arena is not None:
+            raise ConfigError(f"cannot add parameter {name}: the store is packed")
         if name in self._entries:
             raise ConfigError(f"duplicate parameter name: {name}")
         value = as_tensor(value)
         # np.zeros, unlike zeros_like, maps pages lazily: eval-only runs never make them resident
         self._entries[name] = Param(value, np.zeros(value.shape))
         return value
+
+    def arena(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat value and gradient buffers, packing the store on first
+        call; :meth:`slice_of` gives each parameter's range in both."""
+        if self._arena is None:
+            start = 0
+            for name, p in self._entries.items():
+                self._slices[name] = slice(start, start + p.value.size)
+                start += p.value.size
+            values, grads = np.empty(start), np.zeros(start)
+            for name, p in self._entries.items():
+                sl = self._slices[name]
+                values[sl] = p.value.ravel()
+                if p.grad.any():  # the arena starts at zero; untouched pages stay unmapped
+                    grads[sl] = p.grad.ravel()
+                p.value = values[sl].reshape(p.value.shape)
+                p.grad = grads[sl].reshape(p.grad.shape)
+            self._arena = values, grads
+        return self._arena
+
+    def slice_of(self, name: str) -> slice:
+        """The range of parameter ``name`` in the flat buffers of :meth:`arena`."""
+        self.arena()
+        return self._slices[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -133,15 +171,22 @@ class ParamStore:
     def items(self) -> Iterator[tuple[str, Param]]:
         return iter(self._entries.items())
 
+    def grad_buffers(self) -> list[np.ndarray]:
+        """Every gradient as one flat array once packed, else one per parameter."""
+        if self._arena is None:
+            return [p.grad for p in self._entries.values()]
+        return [self._arena[1]]
+
     def zero_grads(self) -> None:
-        for p in self._entries.values():
-            p.grad[...] = 0.0
+        for g in self.grad_buffers():
+            g.fill(0.0)
 
     def add_grad(self, name: str, g: np.ndarray) -> None:
         self._entries[name].grad += g
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place; names and shapes must match."""
+        """Overwrite parameter values in place (through to the arena once
+        packed); names and shapes must match."""
         missing = set(self._entries) - set(values)
         extra = set(values) - set(self._entries)
         if missing or extra:
@@ -186,8 +231,8 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
         raise NumericError("gradient norm overflows float64")
     if norm > max_norm:
         scale = max_norm / norm
-        for _, p in params.items():
-            p.grad *= scale
+        for g in params.grad_buffers():
+            g *= scale
     return norm
 
 

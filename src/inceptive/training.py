@@ -132,6 +132,12 @@ def task_scores(task: str, logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamWState:
+    """AdamW moments laid out like the store's arena: ``m_flat`` and
+    ``v_flat`` are flat buffers, ``m`` and ``v`` map each parameter name to
+    its view of them."""
+
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
@@ -141,10 +147,35 @@ class AdamWState:
 
 
 def init_adamw(params: ParamStore) -> AdamWState:
-    return AdamWState(
-        m={name: np.zeros_like(p.value) for name, p in params.items()},
-        v={name: np.zeros_like(p.value) for name, p in params.items()},
-    )
+    """Zero moments for ``params``, packing the store. The flat buffers
+    come from ``np.zeros``, so their pages are mapped on the first step."""
+    values, _ = params.arena()
+    m_flat, v_flat = np.zeros(values.size), np.zeros(values.size)
+    m, v = {}, {}
+    for name, p in params.items():
+        sl = params.slice_of(name)
+        m[name] = m_flat[sl].reshape(p.value.shape)
+        v[name] = v_flat[sl].reshape(p.value.shape)
+    return AdamWState(m_flat, v_flat, m, v)
+
+
+# Elements of the arena per AdamW block: its two scratch buffers stay in
+# cache, and a step allocates no more than them.
+_ADAMW_BLOCK = 1 << 15
+
+
+def _decay_runs(params: ParamStore, no_decay: frozenset[str]) -> list[tuple[int, int]]:
+    """Arena ranges of the decayed parameters, adjacent ranges merged."""
+    runs: list[tuple[int, int]] = []
+    for name in params.names():
+        if name in no_decay:
+            continue
+        sl = params.slice_of(name)
+        if runs and runs[-1][1] == sl.start:
+            runs[-1] = (runs[-1][0], sl.stop)
+        else:
+            runs.append((sl.start, sl.stop))
+    return runs
 
 
 def adamw_step(
@@ -159,20 +190,29 @@ def adamw_step(
     ``no_decay`` names parameters exempt from the decay term (the training
     loop passes every vector-shaped parameter: biases and norm scales).
 
-    Per parameter, with ``m_hat = m / (1 - b1^t)`` and ``v_hat = v / (1 - b2^t)``:
+    Per element, with ``m_hat = m / (1 - b1^t)`` and ``v_hat = v / (1 - b2^t)``:
     ``value -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * value``.
-    It runs in place on two scratch buffers, in the operation order of
-    that formula, so the result is bitwise the formula's.
+    ``init_adamw`` packed the store (which then refuses new parameters, see
+    :class:`ParamStore`), and the step sweeps its arena in blocks of
+    ``_ADAMW_BLOCK`` elements, in place on two block-sized scratch buffers,
+    in the operation order of that formula; every operation is elementwise,
+    so the result is bitwise the formula's. The decay term is added on the
+    parts of each block that decayed parameters cover, so any ``no_decay``
+    works.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    for name, p in params.items():
-        g = p.grad
-        m = state.m[name]
-        v = state.v[name]
-        update = np.multiply(g, 1 - b1)
+    values, grads = params.arena()
+    runs = _decay_runs(params, no_decay) if weight_decay else []
+    scratch = np.empty((2, min(values.size, _ADAMW_BLOCK)))
+    for start in range(0, values.size, _ADAMW_BLOCK):
+        stop = min(start + _ADAMW_BLOCK, values.size)
+        blk = slice(start, stop)
+        g, m, v = grads[blk], state.m_flat[blk], state.v_flat[blk]
+        update, denom = scratch[:, : stop - start]
+        np.multiply(g, 1 - b1, out=update)
         m *= b1
         m += update
         np.multiply(g, 1 - b2, out=update)
@@ -181,14 +221,17 @@ def adamw_step(
         v += update
         np.divide(m, bias1, out=update)
         update *= lr
-        denom = v / bias2
+        np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
         denom += state.eps
         update /= denom
-        if weight_decay and name not in no_decay:
-            np.multiply(p.value, lr * weight_decay, out=denom)
-            update += denom
-        p.value -= update
+        for lo, hi in runs:
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                part = slice(lo - start, hi - start)
+                np.multiply(values[lo:hi], lr * weight_decay, out=denom[part])
+                update[part] += denom[part]
+        values[blk] -= update
 
 
 def cosine_lr(t: int, total: int, lr_max: float, lr_min: float = 0.0) -> float:

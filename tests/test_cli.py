@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from inceptive.cli import main
-from inceptive.harness import load_config
+from inceptive.harness import DataBundle, _pooled_rows, load_config
 from inceptive.errors import ConfigError
-from inceptive.tensor import load_checkpoint, save_checkpoint
+from inceptive.tensor import Rng, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +217,31 @@ class TestXval:
             for fold_epochs in record["epochs"]:
                 assert [set(e) for e in fold_epochs] == [keys, keys]
                 assert [e["epoch"] for e in fold_epochs] == [1, 2]
+
+
+    def test_reads_only_train_and_val(self, workspace):
+        """With the test split's file gone, xval writes the same bytes."""
+        root, cfg = workspace
+        no_test = json.loads(cfg.read_text())
+        no_test["test_path"] = "data/missing.jsonl"
+        cfg2 = root / "config_no_test.json"
+        cfg2.write_text(json.dumps(no_test))
+        outs = [root / "xval_a", root / "xval_b"]
+        for config, out in zip((cfg, cfg2), outs):
+            assert main(["xval", "--config", str(config), "--k", "3", "--seed", "2", "--out", str(out)]) == 0
+        assert (outs[0] / "xval.json").read_bytes() == (outs[1] / "xval.json").read_bytes()
+
+    def test_pooled_rows_equal_the_concatenated_rows(self):
+        rng = Rng(5)
+        bundle = DataBundle(
+            (rng.normal((6, 3, 2)).astype(np.float32), np.arange(6)),
+            (rng.normal((4, 3, 2)).astype(np.float32), np.arange(6, 10)),
+            None,
+        )
+        for idx in (np.array([9, 0, 6, 5, 7]), np.arange(10)[::-1], np.array([1, 2]), np.array([8])):
+            for got, part in zip(_pooled_rows(bundle, idx), zip(bundle.train, bundle.val)):
+                want = np.concatenate(part)[idx]
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestStats:

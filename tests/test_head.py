@@ -535,3 +535,10 @@ class TestChunkedWeightRows:
             assert got.keys() == whole.keys()
             for name, value in whole.items():
                 assert np.array_equal(got[name], value), (per_chunk, name)
+
+    def test_only_a_one_chunk_batch_keeps_its_rows(self, monkeypatch):
+        for per_chunk, kept in ((self.B, True), (4, False)):
+            monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", per_chunk * TOY["n_heads"] * self.L**2)
+            cfg, _, state = build()
+            hp = state.forward(Rng(1).normal((self.B, self.L, cfg.d)))
+            assert (hp.mha.rows is not None) == kept

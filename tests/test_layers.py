@@ -373,6 +373,137 @@ class TestLayerNorm:
         assert grad_check(f, store, 1e-5) < 1e-5
 
 
+# --- earlier forms, kept as oracles for the matvec and rowsum forms --------------
+
+
+def _layer_norm_reference(gamma, beta, x):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    return gamma * centered / std + beta, (centered, 1.0 / std)
+
+
+def _layer_norm_backward_reference(gamma, cache, dy):
+    centered, inv_std = cache
+    xhat = centered * inv_std
+    lead = tuple(range(xhat.ndim - 1))
+    dgamma = (dy * xhat).sum(axis=lead)
+    dbeta = dy.sum(axis=lead)
+    dxhat = dy * gamma
+    dx = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgamma, dbeta
+
+
+def _batchnorm_apply_reference(state, gamma, beta, x):
+    if state.mode == "train":
+        mean, var = x.mean(axis=(0, 1)), x.var(axis=(0, 1))
+        state.running_mean[...] = (1 - state.momentum) * state.running_mean + state.momentum * mean
+        state.running_var[...] = (1 - state.momentum) * state.running_var + state.momentum * var
+    else:
+        mean, var = state.running_mean, state.running_var
+    centered = x - mean
+    std = np.sqrt(var + state.eps)
+    return gamma * (centered / std) + beta, (centered, 1.0 / std)
+
+
+def _batchnorm_backward_reference(state, gamma, cache, dy):
+    centered, inv_std = cache
+    xhat = centered * inv_std
+    dgamma = (dy * xhat).sum(axis=(0, 1))
+    dbeta = dy.sum(axis=(0, 1))
+    dxhat = dy * gamma
+    if state.mode != "train":
+        return dxhat * inv_std, dgamma, dbeta
+    n = centered.shape[0] * centered.shape[1]
+    dvar = (dxhat * centered).sum(axis=(0, 1)) * (-0.5) * inv_std**3
+    dmean = -(dxhat.sum(axis=(0, 1))) * inv_std + dvar * (-2.0) * centered.mean(axis=(0, 1))
+    dx = dxhat * inv_std + dvar * 2.0 * centered / n + dmean / n
+    return dx, dgamma, dbeta
+
+
+def _sdpa_backward_reference(q, k, v, weights, dout):
+    dv = weights.swapaxes(-1, -2) @ dout
+    dweights = dout @ v.swapaxes(-1, -2)
+    dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+    dscores /= np.sqrt(q.shape[-1])
+    return dscores @ k, dscores.swapaxes(-1, -2) @ q, dv
+
+
+def _assert_close(got, want, rel=1e-12, scales=()):
+    """Each array within ``rel`` of its reference, relative to the reference's
+    largest magnitude or to the matching entry of ``scales`` when given."""
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape
+        scale = scales[i] if i < len(scales) else np.abs(w).max()
+        assert np.abs(g - w).max() <= rel * max(scale, 1e-300)
+
+
+class TestEarlierFormOracles:
+    """The norms' matvec statistics and the attention adjoint's rowsum(dO*O)
+    term agree with the earlier per-axis forms to 1e-12 relative, at the
+    desk shape, the paper shape and the smallest legal extents."""
+
+    # (B, L, n): the encoder's norms and the dense norm at the desk shape, the
+    # dense norm at the paper shape, two features
+    @pytest.mark.parametrize("shape", [(32, 32, 16), (32, 8), (32, 512), (3, 5, 2), (1, 2)])
+    def test_layer_norm(self, shape):
+        rng = Rng(301)
+        n = shape[-1]
+        gamma, beta = rng.normal(n) + 1.0, rng.normal(n)
+        x, dy = rng.normal(shape) * 3.0 + 1.0, rng.normal(shape)
+        out, cache = layer_norm(gamma, beta, x)
+        want_out, want_cache = _layer_norm_reference(gamma, beta, x)
+        _assert_close((out, *cache), (want_out, *want_cache))
+        _assert_close(layer_norm_backward(gamma, cache, dy), _layer_norm_backward_reference(gamma, want_cache, dy))
+
+    # (B, L, 4c): desk (c = 16) and paper (c = 32) shapes, and B * L = 2
+    @pytest.mark.parametrize("shape", [(32, 32, 64), (32, 128, 128), (1, 2, 3), (2, 1, 5)])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batchnorm(self, shape, mode):
+        rng = Rng(302)
+        c = shape[-1]
+        gamma, beta = rng.normal(c) + 1.0, rng.normal(c)
+        x, dy = rng.normal(shape) * 2.0 - 0.5, rng.normal(shape)
+        states = [BatchNormState(rng.normal(c) * 0.1, rng.random(c) + 0.5, mode=mode) for _ in range(2)]
+        states[1].running_mean[...] = states[0].running_mean
+        states[1].running_var[...] = states[0].running_var
+        out, cache = batchnorm_apply(states[0], gamma, beta, x)
+        want_out, want_cache = _batchnorm_apply_reference(states[1], gamma, beta, x)
+        _assert_close((out, *cache), (want_out, *want_cache))
+        _assert_close(
+            (states[0].running_mean, states[0].running_var), (states[1].running_mean, states[1].running_var)
+        )
+        # In train mode dx cancels terms of size inv_std * |gamma * dy|; at
+        # B * L = 2 it keeps only about eps / var of them, and both forms lose
+        # the same digits (each is about 1e-10 off an extended-precision dx
+        # there). So dx is compared at the size of the terms that cancel.
+        dx_scale = np.abs(dy * gamma * want_cache[1]).max()
+        _assert_close(
+            batchnorm_backward(states[0], gamma, cache, dy),
+            _batchnorm_backward_reference(states[1], gamma, want_cache, dy),
+            scales=(dx_scale,),
+        )
+
+    # (B, h, L, d_head): the encoder at the desk shape, the head's attention at
+    # the paper shape (4 examples: no per-row sum crosses examples), one key
+    @pytest.mark.parametrize("shape", [(32, 2, 32, 8), (4, 8, 128, 112), (3, 2, 1, 4)])
+    def test_sdpa_backward(self, shape):
+        rng = Rng(303)
+        q, k, v, dout = (rng.normal(shape) for _ in range(4))
+        out, weights = scaled_dot_product_attention(q, k, v)
+        _assert_close(sdpa_backward(q, k, v, weights, out, dout), _sdpa_backward_reference(q, k, v, weights, dout))
+
+    @pytest.mark.parametrize("shape", [(32, 32, 16), (32, 512)])
+    def test_linear_bias_gradient(self, shape):
+        rng = Rng(304)
+        x, dy = rng.normal(shape), rng.normal(shape[:-1] + (4,))
+        _, _, db = linear_backward(rng.normal((shape[-1], 4)), x, dy)
+        _assert_close((db,), (dy.reshape(-1, 4).sum(axis=0),))
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5])
@@ -460,8 +591,8 @@ class TestAttention:
             )
             return float((out * proj).sum())
 
-        _, weights = scaled_dot_product_attention(q, k, v)
-        dq, dk, dv = sdpa_backward(q, k, v, weights, proj)
+        out, weights = scaled_dot_product_attention(q, k, v)
+        dq, dk, dv = sdpa_backward(q, k, v, weights, out, proj)
         store.grad("q")[...] = dq
         store.grad("k")[...] = dk
         store.grad("v")[...] = dv

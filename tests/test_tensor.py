@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from inceptive.errors import ConfigError, DimensionError, FormatError, NumericError
+from inceptive.head import ModelConfig
+from inceptive.model import SequenceClassifier
 from inceptive.tensor import (
     ParamStore,
     Rng,
@@ -11,6 +13,7 @@ from inceptive.tensor import (
     load_checkpoint,
     save_checkpoint,
 )
+from inceptive.training import init_adamw
 
 
 class TestRng:
@@ -56,6 +59,70 @@ class TestParamStore:
             store.load_values({"w": np.ones((2, 3))})
         with pytest.raises(DimensionError):
             store.load_values({"v": np.ones((2, 2))})
+
+
+class TestParamArena:
+    def _store(self):
+        store = ParamStore()
+        store.add("w", Rng(1).normal((3, 4)))
+        store.add("b", Rng(2).normal(5))
+        store.grad("b")[...] = 2.0
+        return store
+
+    def test_packing_keeps_values_and_grads_as_views(self):
+        store = self._store()
+        before = {name: (p.value.copy(), p.grad.copy()) for name, p in store.items()}
+        values, grads = store.arena()
+        assert values.size == grads.size == 17
+        for name, p in store.items():
+            sl = store.slice_of(name)
+            assert np.shares_memory(p.value, values[sl]) and np.shares_memory(p.grad, grads[sl])
+            assert np.array_equal(p.value, before[name][0]) and np.array_equal(p.grad, before[name][1])
+            assert np.array_equal(values[sl], p.value.ravel())
+        assert store.slice_of("b") == slice(12, 17)
+
+    def test_training_sweeps_pack_the_store(self):
+        store = self._store()
+        init_adamw(store)
+        values, grads = store.arena()
+        for _, p in store.items():
+            assert np.shares_memory(p.value, values) and np.shares_memory(p.grad, grads)
+        store.grad("w")[...] = 1.0
+        store.zero_grads()
+        assert not grads.any()
+
+    def test_add_after_packing_raises(self):
+        store = self._store()
+        store.arena()
+        with pytest.raises(ConfigError):
+            store.add("late", np.ones(2))
+        assert "late" not in store
+
+    def test_load_values_writes_through(self):
+        store = self._store()
+        values, _ = store.arena()
+        store.load_values({"w": np.full((3, 4), 7.0), "b": np.arange(5.0)})
+        assert np.array_equal(values, np.concatenate([np.full(12, 7.0), np.arange(5.0)]))
+
+    def test_load_state_writes_through(self):
+        from inceptive.head import ModelConfig
+        from inceptive.model import SequenceClassifier
+        cfg = ModelConfig(d=8, c=2, n_heads=2, head_dim=4, dense_dim=4, n_classes=3)
+        model = SequenceClassifier(None, cfg, "inceptive", Rng(3))
+        init_adamw(model.params)
+        saved = model.state_tensors()
+        values, _ = model.params.arena()
+        values[...] = 0.0
+        model.load_state(saved)
+        for name, p in model.params.items():
+            assert np.array_equal(values[model.params.slice_of(name)], saved[name].ravel())
+
+    def test_clip_scales_the_packed_grads(self):
+        store = self._store()
+        _, grads = store.arena()
+        norm = clip_global_norm(store, 1.0)
+        assert norm == pytest.approx(np.sqrt(5 * 4.0))
+        assert np.linalg.norm(grads) == pytest.approx(1.0)
 
 
 class TestInit:

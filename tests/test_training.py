@@ -10,6 +10,7 @@ from inceptive.errors import ConfigError, DegenerateBatchError, InputError, Labe
 from inceptive.head import ModelConfig
 from inceptive.model import HeadOnlyClassifier, SequenceClassifier
 from inceptive.tensor import ParamStore, Rng, clip_global_norm, grad_check
+from inceptive import training
 from inceptive.training import (
     TrainConfig,
     adamw_step,
@@ -158,6 +159,62 @@ class TestAdamWInPlace:
             assert np.array_equal(got.value(name), want.value(name))
             assert np.array_equal(got_state.m[name], want_state.m[name])
             assert np.array_equal(got_state.v[name], want_state.v[name])
+
+
+class TestAdamWArena:
+    @pytest.mark.parametrize("no_decay", [frozenset(), frozenset({"b"})])
+    def test_blocks_straddling_parameters_stay_bitwise(self, monkeypatch, no_decay):
+        """Seven-element blocks cut through every parameter and every decay
+        run; the blocked sweep is still bitwise the reference formula."""
+        monkeypatch.setattr(training, "_ADAMW_BLOCK", 7)
+        shapes = {"w": (5, 7), "b": (3,), "u": (4, 4)}
+        stores = []
+        for _ in range(2):
+            store = ParamStore()
+            for i, (name, shape) in enumerate(shapes.items()):
+                store.add(name, Rng(40 + i).normal(shape))
+            stores.append((store, init_adamw(store)))
+        rng = Rng(44)
+        for step in range(4):
+            grads = {name: rng.normal(shape) for name, shape in shapes.items()}
+            for (store, state), update in zip(stores, (adamw_step, _adamw_reference)):
+                for name, g in grads.items():
+                    store.grad(name)[...] = g
+                update(store, state, cosine_lr(step, 4, 0.05, 0.001), 0.3, no_decay)
+        (got, got_state), (want, want_state) = stores
+        for name in shapes:
+            assert np.array_equal(got.value(name), want.value(name))
+            assert np.array_equal(got_state.m[name], want_state.m[name])
+            assert np.array_equal(got_state.v[name], want_state.v[name])
+
+    def test_moments_are_views_of_flat_buffers(self):
+        store = ParamStore()
+        store.add("w", np.ones((3, 2)))
+        store.add("b", np.ones(4))
+        state = init_adamw(store)
+        for name in ("w", "b"):
+            sl = store.slice_of(name)
+            assert np.shares_memory(state.m[name], state.m_flat[sl])
+            assert np.shares_memory(state.v[name], state.v_flat[sl])
+            assert state.m[name].shape == store.value(name).shape
+
+    def test_step_allocates_blocks_not_parameters(self):
+        """One step on a 4M-element store allocates its two block buffers,
+        not temporaries the size of each parameter."""
+        store = ParamStore()
+        for name, shape in (("a", (1000, 2000)), ("b", (1500,)), ("c", (1000, 1998)), ("d", (500,))):
+            store.add(name, np.ones(shape))
+        state = init_adamw(store)
+        for _, p in store.items():
+            p.grad[...] = 0.5
+        tracemalloc.start()
+        try:
+            adamw_step(store, state, 1e-3, 0.1, frozenset({"b", "d"}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.arena()[0].size == 4_000_000
+        assert peak <= 4 * 8 * training._ADAMW_BLOCK
 
 
 class TestCosineLr:
