@@ -183,10 +183,11 @@ class HeadState:
         return head_backward(self.cfg, self.store, self, hp, dlogits, need_input_grad)
 
     def received(self, hp: HeadPass) -> np.ndarray:
-        """The received-attention map, ``(B, L)``. The forward keeps no
-        weight rows, so they are recomputed from its cached queries and keys
-        one chunk of examples at a time (bitwise the forward's rows), and
-        :func:`attention_received` checks and averages each chunk."""
+        """The received-attention map, ``(B, L)``. Unless the batch is one
+        chunk, the forward keeps no weight rows, so they are recomputed from
+        its cached queries and keys one chunk of examples at a time (bitwise
+        the forward's rows), and :func:`attention_received` checks and
+        averages each chunk."""
         if not self.cfg.has_attention:
             raise ConfigError(f"variant {self.cfg.variant!r} has no attention to export")
         mha = hp.mha

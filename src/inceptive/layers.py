@@ -253,7 +253,8 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def relu_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     # Reads the ReLU's output: y > 0 exactly where x > 0 (subgradient 0 at 0).
-    return dy * (y > 0)
+    # The float mask multiplies as the bool one would, without a casting loop.
+    return dy * (y > 0).astype(np.float64)
 
 
 @dataclass
@@ -435,7 +436,7 @@ def sdpa_backward(
         return np.zeros(q.shape), np.zeros(k.shape), dv
     # softmax rows: dS = W * (dW - rowsum(dout * out)), formed in place on dW
     dscores = dout @ v.swapaxes(-1, -2)
-    dscores -= (dout * out).sum(axis=-1, keepdims=True)
+    dscores -= np.einsum("...d,...d->...", dout, out)[..., None]
     dscores *= weights
     dscores /= np.sqrt(d)
     dq = dscores @ k
