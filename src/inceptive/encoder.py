@@ -100,14 +100,9 @@ def embed(cfg: EncoderConfig, params: ParamStore, ids: np.ndarray) -> np.ndarray
 
 
 def embed_backward(cfg: EncoderConfig, params: ParamStore, ids: np.ndarray, dx: np.ndarray) -> None:
-    """Scatter-add gradients into the embedding tables. Each token's rows of
-    ``dx`` are summed in position order, one ``np.bincount`` per feature,
-    which is bitwise ``np.add.at`` into the zeroed gradient."""
-    flat = np.asarray(ids).ravel()
-    dx2 = dx.reshape(len(flat), -1)
-    vocab = params.grad("encoder.tok_embed").shape[0]
-    sums = [np.bincount(flat, weights=dx2[:, j], minlength=vocab) for j in range(dx2.shape[1])]
-    params.add_grad("encoder.tok_embed", np.stack(sums, axis=1))
+    """Scatter-add gradients into the embedding tables."""
+    dtok = params.grad("encoder.tok_embed")
+    np.add.at(dtok, ids, dx)
     params.grad("encoder.pos_embed")[: ids.shape[1]] += dx.sum(axis=0)
 
 

@@ -11,8 +11,8 @@ row term is ``rowsum(dout * out)`` over ``d_head``, not a sum over the ``L``
 keys. Norm statistics are BLAS matvecs over the ``(rows, features)`` view:
 layer norm's row means, and both norms' parameter-gradient sums (batch
 norm's forward statistics stay numpy reductions, see
-:func:`batchnorm_apply`). The deliberate exception
-is :func:`mha_mean_backward`: when a batch spans more than one chunk of at
+:func:`batchnorm_apply`). The deliberate exception is
+:func:`mha_mean_backward`: when a batch spans more than one chunk of at
 most ``_SCORE_CHUNK`` score elements (at least one example), its cache
 keeps no ``(B, h, L, L)`` weight rows, so it recomputes them from the
 cached queries and keys, one chunk at a time.
@@ -253,8 +253,7 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def relu_backward(y: np.ndarray, dy: np.ndarray) -> np.ndarray:
     # Reads the ReLU's output: y > 0 exactly where x > 0 (subgradient 0 at 0).
-    # The float mask multiplies as the bool one would, without a casting loop.
-    return dy * (y > 0).astype(np.float64)
+    return dy * (y > 0)
 
 
 @dataclass

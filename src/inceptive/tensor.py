@@ -104,11 +104,11 @@ class ParamStore:
     On first use of :meth:`arena` (``init_adamw`` calls it) the store is
     packed: every value and every gradient is copied, in insertion order,
     into one flat float64 buffer each, and each :class:`Param` is rebound
-    to views of them. Whole-store sweeps (AdamW in blocks of
-    ``training._ADAMW_BLOCK`` elements, gradient zeroing, clipping's scale)
-    then run over the two buffers instead of one pair per parameter. A
-    packed store is closed: :meth:`add` raises ``ConfigError``. Eval-only
-    runs never pack.
+    to views of them. AdamW then sweeps the two buffers in blocks of
+    ``training._ADAMW_BLOCK`` elements instead of one pair per parameter;
+    per-parameter writes (gradient zeroing, clipping's scale, loading) go
+    through the views. A packed store is closed: :meth:`add` raises
+    ``ConfigError``. Eval-only runs never pack.
     """
 
     def __init__(self):
@@ -171,15 +171,9 @@ class ParamStore:
     def items(self) -> Iterator[tuple[str, Param]]:
         return iter(self._entries.items())
 
-    def grad_buffers(self) -> list[np.ndarray]:
-        """Every gradient as one flat array once packed, else one per parameter."""
-        if self._arena is None:
-            return [p.grad for p in self._entries.values()]
-        return [self._arena[1]]
-
     def zero_grads(self) -> None:
-        for g in self.grad_buffers():
-            g.fill(0.0)
+        for p in self._entries.values():
+            p.grad[...] = 0.0
 
     def add_grad(self, name: str, g: np.ndarray) -> None:
         self._entries[name].grad += g
@@ -231,8 +225,8 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
         raise NumericError("gradient norm overflows float64")
     if norm > max_norm:
         scale = max_norm / norm
-        for g in params.grad_buffers():
-            g *= scale
+        for _, p in params.items():
+            p.grad *= scale
     return norm
 
 

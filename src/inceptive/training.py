@@ -132,14 +132,12 @@ def task_scores(task: str, logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamWState:
-    """AdamW moments laid out like the store's arena: ``m_flat`` and
-    ``v_flat`` are flat buffers, ``m`` and ``v`` map each parameter name to
-    its view of them."""
+    """AdamW moments as flat buffers laid out like the store's arena:
+    parameter ``name``'s moments are ``m_flat[params.slice_of(name)]`` and
+    likewise for ``v_flat``."""
 
     m_flat: np.ndarray
     v_flat: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -150,13 +148,7 @@ def init_adamw(params: ParamStore) -> AdamWState:
     """Zero moments for ``params``, packing the store. The flat buffers
     come from ``np.zeros``, so their pages are mapped on the first step."""
     values, _ = params.arena()
-    m_flat, v_flat = np.zeros(values.size), np.zeros(values.size)
-    m, v = {}, {}
-    for name, p in params.items():
-        sl = params.slice_of(name)
-        m[name] = m_flat[sl].reshape(p.value.shape)
-        v[name] = v_flat[sl].reshape(p.value.shape)
-    return AdamWState(m_flat, v_flat, m, v)
+    return AdamWState(np.zeros(values.size), np.zeros(values.size))
 
 
 # Elements of the arena per AdamW block: its two scratch buffers stay in

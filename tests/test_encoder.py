@@ -74,19 +74,6 @@ class TestEmbed:
         np.testing.assert_allclose(dtok[2], 1.0)
         assert not dtok[3:].any()
 
-    def test_backward_is_bitwise_add_at(self, small_cfg):
-        """Per-feature bincounts sum each token's rows in the order
-        ``np.add.at`` does, with every token repeated."""
-        store = init_encoder_params(small_cfg, Rng(5))
-        rng = Rng(6)
-        ids = rng.integers(0, small_cfg.vocab_size, (32, 6))
-        dx = rng.normal((32, 6, small_cfg.d))
-        store.zero_grads()
-        embed_backward(small_cfg, store, ids, dx)
-        want = np.zeros_like(store.value("encoder.tok_embed"))
-        np.add.at(want, ids, dx)
-        assert np.array_equal(store.grad("encoder.tok_embed"), want)
-
 
 class TestEncode:
     def test_zero_layers_is_identity(self):

@@ -105,8 +105,6 @@ class TestParamArena:
         assert np.array_equal(values, np.concatenate([np.full(12, 7.0), np.arange(5.0)]))
 
     def test_load_state_writes_through(self):
-        from inceptive.head import ModelConfig
-        from inceptive.model import SequenceClassifier
         cfg = ModelConfig(d=8, c=2, n_heads=2, head_dim=4, dense_dim=4, n_classes=3)
         model = SequenceClassifier(None, cfg, "inceptive", Rng(3))
         init_adamw(model.params)
