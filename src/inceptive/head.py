@@ -267,7 +267,7 @@ def inception_forward(
     concat. Both act on each channel alone, so this is each branch
     followed by its own norm and ReLU. Returns the ReLU output, written
     into ``out`` when given, and the batch norm's cache."""
-    y = np.empty((*h.shape[:2], len(KERNEL_SIZES) * cfg.c))
+    y = np.empty((*h.shape[:2], len(KERNEL_SIZES) * cfg.c), dtype=h.dtype)
     for k, cols in _branch_columns(cfg.c):
         conv1d_forward(_branch(store, k), h, out=y[..., cols])
     z, bn_cache = batchnorm_apply(state.bn, _bn_param(store, "scale"), _bn_param(store, "shift"), y)
@@ -340,7 +340,6 @@ def multi_head_attention(
 
 def adaptive_avg_pool(a: np.ndarray) -> np.ndarray:
     """Mean over sequence positions: ``B x L x f`` to ``B x f``."""
-    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] < 1:
         raise DimensionError(f"pooling expects B x L x f with L >= 1, got {a.shape}")
     return a.mean(axis=1)
@@ -371,16 +370,16 @@ def head_forward(
 ) -> HeadPass:
     """Run the configured pipeline over hidden states ``B x L x d``.
 
-    The enriched features ``r`` (``B x L x d_r``, float64) are one buffer:
-    dropout writes the first ``d`` columns and the inception ReLU the last
-    ``4c``. A float32 ``h`` (frozen inputs keep the dtype of their file) is
-    widened once, in dropout's write; all arithmetic is float64.
+    The enriched features ``r`` (``B x L x d_r``) are one float64 buffer,
+    which fixes the pass's dtype (the layers follow their input's): dropout
+    writes the first ``d`` columns, widening a float32 ``h`` (frozen inputs
+    keep their file's dtype), and the inception ReLU the last ``4c``.
     """
     h = np.asarray(h)
     if h.ndim != 3 or h.shape[2] != cfg.d:
         raise DimensionError(f"hidden states must be B x L x {cfg.d}, got {h.shape}")
     _check_store(cfg, store)
-    r = np.empty(h.shape[:2] + (cfg.d_r,))
+    r = np.empty(h.shape[:2] + (cfg.d_r,), dtype=np.float64)
     h_dropped, mask = dropout(state.dropout, h, rng, out=r[..., : cfg.d])
     c_map, bn_cache = inception_forward(cfg, store, state, h_dropped, out=r[..., cfg.d :])
     if cfg.has_attention:
@@ -502,7 +501,7 @@ class BaselineHead:
         pass
 
     def forward(self, h: np.ndarray, rng: Rng | None = None) -> BaselinePass:
-        """Only the first row is read, and widened to float64."""
+        """Only the first row is read; widening it to float64 fixes the pass's dtype."""
         h = np.asarray(h)
         if h.ndim != 3 or h.shape[1] < 1:
             raise DimensionError(f"hidden states must be B x L x d with L >= 1, got {h.shape}")

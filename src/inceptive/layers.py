@@ -18,6 +18,9 @@ keeps no ``(B, h, L, L)`` weight rows, so it recomputes them from the
 cached queries and keys, one chunk at a time.
 Each pair is checkable with :func:`inceptive.tensor.grad_check`.
 
+Every function computes in the dtype it is given, its buffers included;
+float64 is fixed by the callers (see :mod:`inceptive.tensor`).
+
 Shapes follow the batch-first convention ``B x L x features`` throughout.
 """
 
@@ -85,8 +88,8 @@ def conv_branch(kernel_size: int, weight: np.ndarray, bias: np.ndarray | None = 
     """Build a branch with the padding rule implied by the kernel width."""
     if kernel_size not in KERNEL_SIZES:
         raise ConfigError(f"kernel size must be one of {KERNEL_SIZES}, got {kernel_size}")
-    weight = np.asarray(weight, dtype=np.float64)
-    bias = None if bias is None else np.asarray(bias, dtype=np.float64)
+    weight = np.asarray(weight)
+    bias = None if bias is None else np.asarray(bias)
     if weight.ndim != 3 or weight.shape[1] != kernel_size:
         raise DimensionError(f"conv weight must be (c, {kernel_size}, d), got {weight.shape}")
     if kernel_size == 2:
@@ -122,7 +125,6 @@ def conv1d_forward(branch: ConvBranch, h: np.ndarray, out: np.ndarray | None = N
     ``(B*L, d) @ (d, k*c)``; each tap's slice is then added to the output
     shifted by its offset (the kn2row form).
     """
-    h = np.asarray(h, dtype=np.float64)
     if h.ndim != 3:
         raise DimensionError(f"conv input must be B x L x d, got {h.shape}")
     if h.shape[2] != branch.weight.shape[2]:
@@ -132,7 +134,7 @@ def conv1d_forward(branch: ConvBranch, h: np.ndarray, out: np.ndarray | None = N
     b, length, d = h.shape
     c, k, _ = branch.weight.shape
     taps = (h.reshape(b * length, d) @ _tap_major(branch).T).reshape(b, length, k, c)
-    y = np.empty((b, length, c)) if out is None else out
+    y = np.empty((b, length, c), dtype=taps.dtype) if out is None else out
     y[...] = 0.0 if branch.bias is None else branch.bias
     for j, s, lo, hi in _tap_rows(branch, length):
         y[:, lo:hi, :] += taps[:, lo + s : hi + s, j, :]
@@ -149,11 +151,9 @@ def conv1d_backward(
     ``need_input_grad`` off the input gradient is not formed, and for a
     bias-free branch no bias gradient is; ``None`` takes each one's place.
     """
-    h = np.asarray(h, dtype=np.float64)
-    dy = np.asarray(dy, dtype=np.float64)
     b, length, d = h.shape
     c, k, _ = branch.weight.shape
-    dtaps = np.zeros((b, length, k, c))
+    dtaps = np.zeros((b, length, k, c), dtype=dy.dtype)
     for j, s, lo, hi in _tap_rows(branch, length):
         dtaps[:, lo + s : hi + s, j, :] = dy[:, lo:hi, :]
     dtaps = dtaps.reshape(b * length, k * c)
@@ -189,7 +189,6 @@ def batchnorm_apply(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Normalize ``B x L x c`` per channel, then apply the learned affine.
     Returns the output and the cache ``(centered, inv_std)``."""
-    x = np.asarray(x, dtype=np.float64)
     if x.shape[2] != state.running_mean.shape[0]:
         raise DimensionError(f"channel mismatch: input {x.shape[2]} vs state {state.running_mean.shape[0]}")
     if state.mode == "train":
@@ -229,9 +228,8 @@ def batchnorm_backward(
     ``gamma * dgamma``.
     """
     centered, inv_std = cache
-    dy = np.asarray(dy, dtype=np.float64)
     n, c = centered.shape[0] * centered.shape[1], centered.shape[2]
-    ones = np.ones(n)
+    ones = np.ones(n, dtype=dy.dtype)
     xhat = centered * inv_std
     dbeta = ones @ dy.reshape(n, c)
     dgamma = ones @ (dy * xhat).reshape(n, c)
@@ -279,8 +277,9 @@ def dropout(
 
     The output is ``x / (1 - rate)`` times the mask, which is bitwise
     ``x * mask / (1 - rate)``, the sign of dropped zeros included. It is
-    float64 whatever the dtype of ``x``, and is written into ``out`` when
-    given, so a float32 ``x`` is widened in that one write.
+    written into ``out`` when given and computed in the dtype of ``out``,
+    so a float32 ``x`` is widened in that one write; otherwise it keeps
+    the dtype of ``x``.
     """
     if spec.mode != "train" or spec.rate == 0.0:
         if out is not None:
@@ -290,7 +289,7 @@ def dropout(
     if rng is None:
         raise ConfigError("train-mode dropout needs an Rng")
     keep = rng.random(x.shape) >= spec.rate
-    out = np.divide(x, 1.0 - spec.rate, out=out, dtype=np.float64)
+    out = np.divide(x, 1.0 - spec.rate, out=out, dtype=(x if out is None else out).dtype)
     out *= keep
     return out, keep
 
@@ -305,7 +304,6 @@ def dropout_backward(spec: DropoutSpec, mask: np.ndarray, dy: np.ndarray) -> np.
 
 def linear(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Affine map over the trailing axis: ``y = x @ w + b``."""
-    x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear input dim {x.shape[-1]} vs weight {w.shape}")
     return x @ w + b
@@ -318,7 +316,7 @@ def linear_backward(
     dy2 = dy.reshape(-1, dy.shape[-1])
     dx = dy @ w.T
     dw = x2.T @ dy2
-    db = np.ones(len(dy2)) @ dy2
+    db = np.ones(len(dy2), dtype=dy2.dtype) @ dy2
     return dx, dw, db
 
 
@@ -332,11 +330,10 @@ def layer_norm(
     (eps 1e-5), then apply the learned affine. Returns the output and the
     cache ``(centered, inv_std)``. Row means are matvecs with a ``1/n``
     vector over the ``(rows, n)`` view."""
-    x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
     if n < 2:
         raise DimensionError(f"layer norm needs >= 2 features, got {n}")
-    avg = np.full(n, 1.0 / n)
+    avg = np.full(n, 1.0 / n, dtype=x.dtype)
     centered = x - (x.reshape(-1, n) @ avg).reshape(*x.shape[:-1], 1)
     y = np.square(centered)
     inv_std = 1.0 / np.sqrt((y.reshape(-1, n) @ avg).reshape(*x.shape[:-1], 1) + _LN_EPS)
@@ -355,11 +352,10 @@ def layer_norm_backward(
     are matvecs with a ones vector over the rows."""
     centered, inv_std = cache
     n = centered.shape[-1]
-    dy = np.asarray(dy, dtype=np.float64)
     dy2 = dy.reshape(-1, n)
     xhat = (centered * inv_std).reshape(-1, n)
     dyx = dy2 * xhat
-    ones = np.ones(len(dy2))
+    ones = np.ones(len(dy2), dtype=dy2.dtype)
     dgamma, dbeta = ones @ dyx, ones @ dy2
     gbar = gamma / n
     dx = dy2 * gamma  # dxhat
@@ -400,9 +396,6 @@ def scaled_dot_product_attention(
     attended output and the weight rows, each row a probability
     distribution over key positions.
     """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
     d = q.shape[-1]
@@ -432,7 +425,7 @@ def sdpa_backward(
     d = q.shape[-1]
     dv = weights.swapaxes(-1, -2) @ dout
     if weights.shape[-1] == 1:  # one key: every weight is the constant 1, and the scores get no gradient
-        return np.zeros(q.shape), np.zeros(k.shape), dv
+        return np.zeros(q.shape, dtype=q.dtype), np.zeros(k.shape, dtype=k.dtype), dv
     # softmax rows: dS = W * (dW - rowsum(dout * out)), formed in place on dW
     dscores = dout @ v.swapaxes(-1, -2)
     dscores -= np.einsum("...d,...d->...", dout, out)[..., None]
@@ -590,7 +583,7 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
     x2 = x.reshape(b * length, d_in)
     q = _project_heads(x2, params.w_q, b, length)
     k = _project_heads(x2, params.w_k, b, length)
-    colsum = np.empty((b, h, length))
+    colsum = np.empty((b, h, length), dtype=q.dtype)
     chunks = _example_chunks(b, h, length)
     rows = None
     for s in chunks:
@@ -642,8 +635,8 @@ def mha_mean_backward(
     u = wg @ cache.x.swapaxes(1, 2)  # (B, h, L)
     if not 0 <= dx_start < d_in:
         raise DimensionError(f"dx_start must be in [0, {d_in}), got {dx_start}")
-    dq = np.empty((b, length, h, d_head))
-    dk = np.empty((b, length, h, d_head))
+    dq = np.empty((b, length, h, d_head), dtype=cache.k.dtype)
+    dk = np.empty((b, length, h, d_head), dtype=cache.q.dtype)
     for s in cache.chunks():
         weights = cache.weight_rows(s)
         dscores = u[s, :, None, :] - (weights @ u[s, :, :, None])
@@ -654,7 +647,7 @@ def mha_mean_backward(
         np.matmul(dscores.swapaxes(-1, -2), cache.q[s], out=dk[s].transpose(0, 2, 1, 3))
         del dscores
     x2 = cache.x.reshape(b * length, d_in)
-    dx2 = np.zeros((b * length, d_in - dx_start))
+    dx2 = np.zeros((b * length, d_in - dx_start), dtype=x2.dtype)
     dw_q = _project_heads_backward(x2, params.w_q, dq, dx2, dx_start)
     del dq
     dw_k = _project_heads_backward(x2, params.w_k, dk, dx2, dx_start)

@@ -2,9 +2,11 @@
 
 ``SequenceClassifier`` runs a head (the enrichment head or the first-token
 baseline, see :func:`inceptive.head.make_head`) over the hidden states of a
-small encoder that trains with it. Given no encoder (``HeadOnlyClassifier``)
-it classifies frozen hidden states from an embedding file, exported by any
-external encoder, and its backward pass builds only parameter gradients.
+small encoder that trains with it. Built with no encoder (as
+:func:`inceptive.harness.build_model` does for frozen inputs) it classifies
+hidden states from an embedding file and its backward pass builds only
+parameter gradients. ``HeadOnlyClassifier``, that form under its own name,
+stays only because ``perfbench`` imports and wraps it.
 """
 
 from __future__ import annotations

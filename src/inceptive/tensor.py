@@ -1,9 +1,10 @@
 """Dense tensor values, seeded randomness, parameter storage, and the
 finite-difference harness used to validate every backward pass.
 
-Tensors are plain ``numpy.ndarray`` values in float64, C-order (row-major,
-last index fastest). Functions in this module enforce the library's shape
-and finiteness contracts on top of numpy's arithmetic.
+Tensors are C-order ``numpy.ndarray`` values. Layers compute in the dtype
+they are given; float64 is fixed where values enter: parameters
+(:func:`as_tensor`), :func:`load_checkpoint`, the heads' input buffers and
+the losses' logits. This module enforces shape and finiteness contracts.
 """
 
 from __future__ import annotations

@@ -52,6 +52,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.seq_len < 1:
+            raise ConfigError(f"seq_len must be >= 1, got {self.seq_len}")
+        if self.max_grad_norm <= 0:
+            raise ConfigError(f"max_grad_norm must be positive, got {self.max_grad_norm}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 < self.sigmoid_threshold < 1.0:

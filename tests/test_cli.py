@@ -439,6 +439,7 @@ class TestExitCodes:
         ("d", "8"), ("d", 8.0), ("d", True), ("epochs", 1.5), ("lr", "x"), ("lr", float("nan")),
         ("dropout_rate", None), ("train_path", 3), ("batch_size", 0), ("weight_decay", -1),
         ("lr_min", 1.0), ("enc_heads", 0), ("enc_layers", -1), ("ffn_size", 0),
+        ("seq_len", -1), ("seq_len", 0), ("max_grad_norm", 0.0),
         ("task", "multi-cl\xe9ss"),  # written as Latin-1 below: the file is not UTF-8
     ])
     def test_bad_config_value_exits_2(self, workspace, capsys, key, value):

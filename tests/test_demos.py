@@ -1,4 +1,5 @@
-"""Each demo script runs to completion from a fresh working directory."""
+"""Each demo script runs to completion from a fresh working directory, with
+warnings as errors (pytest's warning filter does not reach a subprocess)."""
 
 import os
 import pathlib
@@ -20,6 +21,7 @@ def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -723,3 +723,120 @@ class TestMhaMeanBackward:
         store.grad("wo")[...] = grads.w_o
         store.grad("x")[...] = dx
         assert grad_check(f, store, 1e-5) < 1e-5
+
+
+class TestFloat32Inputs:
+    """Each forward/backward pair computes in the dtype it is given: float32
+    inputs, parameters and running statistics give a float32 output and
+    float32 gradients, each within 1e-4 relative of the float64 result on
+    the same values."""
+
+    @staticmethod
+    def _check(run, *arrays):
+        single = [np.asarray(a, dtype=np.float32) for a in arrays]
+        got = run(*single)
+        want = run(*(a.astype(np.float64) for a in single))
+        assert [g.dtype for g in got] == [np.float32] * len(got)
+        _assert_close(got, want, rel=1e-4)
+
+    def test_conv(self):
+        rng = Rng(310)
+
+        def run(w, b, h, dy):
+            branch = conv_branch(5, w, b)
+            return (conv1d_forward(branch, h), *conv1d_backward(branch, h, dy))
+
+        self._check(run, rng.normal((4, 5, 6)), rng.normal(4), rng.normal((2, 7, 6)), rng.normal((2, 7, 4)))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batchnorm(self, mode):
+        rng = Rng(311)
+
+        def run(gamma, beta, x, dy, mean, var):
+            state = BatchNormState(mean.copy(), var.copy(), mode=mode)
+            y, cache = batchnorm_apply(state, gamma, beta, x)
+            return (y, *batchnorm_backward(state, gamma, cache, dy), state.running_mean, state.running_var)
+
+        c = 3
+        self._check(
+            run, rng.normal(c) + 1.0, rng.normal(c), rng.normal((2, 5, c)), rng.normal((2, 5, c)),
+            rng.normal(c) * 0.1, rng.random(c) + 0.5,
+        )
+
+    def test_relu(self):
+        rng = Rng(312)
+
+        def run(x, dy):
+            y = relu(x)
+            return y, relu_backward(y, dy)
+
+        self._check(run, rng.normal((2, 5, 3)), rng.normal((2, 5, 3)))
+
+    def test_dropout(self):
+        rng = Rng(313)
+        spec = DropoutSpec(0.3)
+
+        def run(x, dy):
+            y, mask = dropout(spec, x, Rng(5))
+            return y, dropout_backward(spec, mask, dy)
+
+        self._check(run, rng.normal((2, 5, 3)), rng.normal((2, 5, 3)))
+
+    def test_linear(self):
+        rng = Rng(314)
+
+        def run(w, b, x, dy):
+            return (linear(w, b, x), *linear_backward(w, x, dy))
+
+        self._check(run, rng.normal((4, 3)), rng.normal(3), rng.normal((2, 5, 4)), rng.normal((2, 5, 3)))
+
+    def test_layer_norm(self):
+        rng = Rng(315)
+
+        def run(gamma, beta, x, dy):
+            y, cache = layer_norm(gamma, beta, x)
+            return (y, *layer_norm_backward(gamma, cache, dy))
+
+        self._check(run, rng.normal(6) + 1.0, rng.normal(6), rng.normal((2, 5, 6)), rng.normal((2, 5, 6)))
+
+    @pytest.mark.parametrize("length", [5, 1])
+    def test_sdpa(self, length):
+        rng = Rng(316)
+
+        def run(q, k, v, dout):
+            out, weights = scaled_dot_product_attention(q, k, v)
+            return (out, weights, *sdpa_backward(q, k, v, weights, out, dout))
+
+        self._check(run, *(rng.normal((2, 2, length, 3)) for _ in range(4)))
+
+    def test_mha(self):
+        rng = Rng(317)
+        params, x = _mha_case(rng, 2, 5, 6, 2, 3)
+
+        def run(w_q, w_k, w_v, w_o, x, dy):
+            p = MhaParams(w_q, w_k, w_v, w_o)
+            y, cache = mha_forward(p, x)
+            dx, grads = mha_backward(p, cache, dy)
+            return y, dx, grads.w_q, grads.w_k, grads.w_v, grads.w_o
+
+        self._check(run, params.w_q, params.w_k, params.w_v, params.w_o, x, rng.normal((2, 5, 6)))
+
+    @pytest.mark.parametrize("dx_start", [0, 2])
+    @pytest.mark.parametrize("one_chunk", [True, False], ids=["one_chunk", "per_example_chunks"])
+    def test_mha_mean(self, monkeypatch, dx_start, one_chunk):
+        import inceptive.layers
+
+        rng = Rng(318)
+        b, length, h = 3, 5, 2
+        params, x = _mha_case(rng, b, length, 6, h, 3)
+        if not one_chunk:  # the backward then recomputes the weight rows
+            monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", h * length * length)
+
+        def run(w_q, w_k, w_v, w_o, x, dpooled):
+            p = MhaParams(w_q, w_k, w_v, w_o)
+            pooled, cache = mha_mean_forward(p, x)
+            assert (cache.rows is not None) == one_chunk
+            dx, grads = mha_mean_backward(p, cache, dpooled, dx_start)
+            return pooled, dx, grads.w_q, grads.w_k, grads.w_v, grads.w_o
+
+        self._check(run, params.w_q, params.w_k, params.w_v, params.w_o, x, rng.normal((b, 6)))
