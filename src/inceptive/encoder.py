@@ -195,7 +195,7 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     value is not a finite float32 (``NumericError``), an extent is 0
     (``DimensionError``), or a label is not an integer or lies outside the
     label space (``LabelError``)."""
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h)
     labels = np.asarray(labels)
     if h.ndim != 3 or 0 in h.shape:
         raise DimensionError(f"hidden states must be B x L x d with every extent >= 1, got {h.shape}")
@@ -209,17 +209,12 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     # the integer test matters: astype below would truncate 0.7 to 0
     if not ((labels >= 0) & (labels < limit) & (labels == np.floor(labels))).all():
         raise LabelError(f"labels must be integers in [0, {limit})")
-    payload = finite_float32(h, "hidden state")
-    blob = _EMB_MAGIC + struct.pack(
-        "<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes
-    )
-    if multilabel:
-        blob += labels.astype(np.uint8).tobytes(order="C")
-    else:
-        blob += labels.astype("<u4").tobytes(order="C")
-    blob += payload.tobytes(order="C")
+    payload = np.ascontiguousarray(finite_float32(h, "hidden state"))
+    header = struct.pack("<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes)
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(_EMB_MAGIC + header)
+        fh.write(labels.astype(np.uint8 if multilabel else "<u4").tobytes())
+        fh.write(payload.data)
 
 
 def load_embeddings(path, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -71,21 +71,18 @@ _PATH_KEYS = (
 
 @dataclass
 class RunSettings:
-    model: dict
+    model: ModelConfig  # variant "full"; build_model sets the run's
     encoder: dict
     train: TrainConfig
     paths: dict[str, str]
 
     @property
     def multilabel(self) -> bool:
-        return self.model["task"] == "multi-label"
+        return self.model.task == "multi-label"
 
     @property
     def embeddings_mode(self) -> bool:
         return "train_embeddings" in self.paths
-
-    def model_config(self, variant: str = "full") -> ModelConfig:
-        return ModelConfig(variant=variant, **self.model)
 
 
 # the type of the keys whose default is None
@@ -131,7 +128,8 @@ def load_config(path) -> RunSettings:
         raise ConfigError(
             "config must carry either train/val/test/vocab paths or the three embeddings paths"
         )
-    return RunSettings(model, encoder, TrainConfig(**train_kwargs), paths)
+    # the model checks run here, so a bad value exits before any file is read
+    return RunSettings(ModelConfig(**model), encoder, TrainConfig(**train_kwargs), paths)
 
 
 _SPLITS = ("train", "val", "test")
@@ -155,17 +153,15 @@ class DataBundle:
 def load_data(settings: RunSettings, splits: tuple[str, ...] = _SPLITS) -> DataBundle:
     """Read and encode the named splits (all three by default), plus the
     vocabulary in token mode."""
-    n_classes = settings.model["n_classes"]
+    n_classes = settings.model.n_classes
     multilabel = settings.multilabel
     parts = dict.fromkeys(_SPLITS)
     if settings.embeddings_mode:
         for split in splits:
             path = settings.paths[f"{split}_embeddings"]
             h, labels = load_embeddings(path, n_classes)
-            if h.shape[2] != settings.model["d"]:
-                raise DimensionError(
-                    f"{path}: embedding width {h.shape[2]} vs configured d={settings.model['d']}"
-                )
+            if h.shape[2] != settings.model.d:
+                raise DimensionError(f"{path}: embedding width {h.shape[2]} vs configured d={settings.model.d}")
             parts[split] = (h, labels)
         return DataBundle(**parts)
     vocab = load_vocab(settings.paths["vocab_path"])
@@ -176,7 +172,7 @@ def load_data(settings: RunSettings, splits: tuple[str, ...] = _SPLITS) -> DataB
 
 
 def build_model(settings: RunSettings, bundle: DataBundle, kind: str, variant: str, rng: Rng):
-    cfg = settings.model_config(variant)
+    cfg = replace(settings.model, variant=variant)
     enc_cfg = None if bundle.head_only else EncoderConfig(
         vocab_size=max(bundle.vocab.values()) + 1,
         d=cfg.d,

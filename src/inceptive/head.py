@@ -183,18 +183,11 @@ class HeadState:
         return head_backward(self.cfg, self.store, self, hp, dlogits, need_input_grad)
 
     def received(self, hp: HeadPass) -> np.ndarray:
-        """The received-attention map, ``(B, L)``. Unless the batch is one
-        chunk, the forward keeps no weight rows, so they are recomputed from
-        its cached queries and keys one chunk of examples at a time (bitwise
-        the forward's rows), and :func:`attention_received` checks and
-        averages each chunk."""
+        """The received-attention map, ``(B, L)``, read from the weight rows'
+        column sums that the pooled attention keeps (so no row is formed)."""
         if not self.cfg.has_attention:
             raise ConfigError(f"variant {self.cfg.variant!r} has no attention to export")
-        mha = hp.mha
-        received = np.empty(mha.x.shape[:2])
-        for s in mha.chunks():
-            received[s] = attention_received(mha.weight_rows(s))
-        return received
+        return attention_received(hp.mha.colsum)
 
     def set_mode(self, train: bool) -> None:
         mode = "train" if train else "eval"
@@ -301,23 +294,25 @@ def inception_backward(
     return dh
 
 
-def attention_received(weights: np.ndarray) -> np.ndarray:
+def attention_received(colsum: np.ndarray) -> np.ndarray:
     """Attention mass landing on each key position, averaged over heads and
-    query positions: one ``(B, L)`` probability row per example.
+    query positions: one ``(B, L)`` probability row per example, from the
+    ``(B, h, L)`` column sums of the weight rows, in their dtype.
 
-    Every input row must already sum to 1 (checked to 1e-6); the averaged
-    row then sums to 1 as well. Non-finite weights (from non-finite
-    parameters or inputs) raise ``NumericError``.
+    Every weight row sums to 1, so each head's column sums total L (checked
+    to 1e-6 relative); the averaged row then sums to 1. Non-finite sums
+    (from non-finite parameters or inputs) raise ``NumericError``.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 4:
-        raise DimensionError(f"weights must be B x h x L x L, got {weights.shape}")
-    sums = weights.sum(axis=-1)
-    if not np.isfinite(sums).all():
+    colsum = np.asarray(colsum)
+    if colsum.ndim != 3:
+        raise DimensionError(f"column sums must be B x h x L, got {colsum.shape}")
+    length = colsum.shape[-1]
+    totals = colsum.sum(axis=-1)
+    if not np.isfinite(totals).all():
         raise NumericError("attention weights are not finite")
-    if np.abs(sums - 1.0).max() > 1e-6:
+    if np.abs(totals - length).max() > 1e-6 * length:
         raise InputError("attention rows are not normalized")
-    return weights.mean(axis=(1, 2))
+    return colsum.mean(axis=1) / length
 
 
 def received_entropy(received: np.ndarray) -> np.ndarray:
@@ -335,7 +330,7 @@ def multi_head_attention(
     the received map computed from the pre-projection weight rows. The head
     itself only needs the pooled output (:func:`mha_mean_forward`)."""
     a, cache = mha_forward(MhaParams.read(store, "head.attn."), r)
-    return a, attention_received(cache.weights), cache
+    return a, attention_received(cache.weights.sum(axis=2)), cache
 
 
 def adaptive_avg_pool(a: np.ndarray) -> np.ndarray:

@@ -321,11 +321,11 @@ _VERSION = 1
 
 
 def finite_float32(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` as little-endian float32. A value that is not finite there
-    (NaN, infinite, or beyond float32 range) raises ``NumericError`` naming
-    ``what`` and the value's index."""
+    """``arr`` as little-endian float32, not copied when it already is. A
+    value that is not finite there (NaN, infinite, or beyond float32 range)
+    raises ``NumericError`` naming ``what`` and the value's index."""
     with np.errstate(over="ignore"):
-        out = arr.astype("<f4")
+        out = arr.astype("<f4", copy=False)
     finite = np.isfinite(out)
     if not finite.all():
         bad = np.unravel_index(int(np.argmin(finite)), arr.shape)

@@ -160,11 +160,12 @@ def init_adamw(params: ParamStore) -> AdamWState:
 _ADAMW_BLOCK = 1 << 15
 
 
-def _decay_runs(params: ParamStore, no_decay: frozenset[str]) -> list[tuple[int, int]]:
-    """Arena ranges of the decayed parameters, adjacent ranges merged."""
+def _decay_runs(params: ParamStore) -> list[tuple[int, int]]:
+    """Arena ranges of the decayed parameters, the weights (two or more
+    axes), adjacent ranges merged; biases and norm scales are exempt."""
     runs: list[tuple[int, int]] = []
-    for name in params.names():
-        if name in no_decay:
+    for name, p in params.items():
+        if p.value.ndim < 2:
             continue
         sl = params.slice_of(name)
         if runs and runs[-1][1] == sl.start:
@@ -174,17 +175,11 @@ def _decay_runs(params: ParamStore, no_decay: frozenset[str]) -> list[tuple[int,
     return runs
 
 
-def adamw_step(
-    params: ParamStore,
-    state: AdamWState,
-    lr: float,
-    weight_decay: float,
-    no_decay: frozenset[str] = frozenset(),
-) -> None:
+def adamw_step(params: ParamStore, state: AdamWState, lr: float, weight_decay: float) -> None:
     """One decoupled-weight-decay Adam update from the stored gradients.
 
-    ``no_decay`` names parameters exempt from the decay term (the training
-    loop passes every vector-shaped parameter: biases and norm scales).
+    Only weights decay: parameters with fewer than two axes (biases and norm
+    scales) take no decay term.
 
     Per element, with ``m_hat = m / (1 - b1^t)`` and ``v_hat = v / (1 - b2^t)``:
     ``value -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * value``.
@@ -193,15 +188,14 @@ def adamw_step(
     ``_ADAMW_BLOCK`` elements, in place on two block-sized scratch buffers,
     in the operation order of that formula; every operation is elementwise,
     so the result is bitwise the formula's. The decay term is added on the
-    parts of each block that decayed parameters cover, so any ``no_decay``
-    works.
+    parts of each block that decayed parameters cover.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     values, grads = params.arena()
-    runs = _decay_runs(params, no_decay) if weight_decay else []
+    runs = _decay_runs(params) if weight_decay else []
     scratch = np.empty((2, min(values.size, _ADAMW_BLOCK)))
     for start in range(0, values.size, _ADAMW_BLOCK):
         stop = min(start + _ADAMW_BLOCK, values.size)
@@ -237,10 +231,6 @@ def cosine_lr(t: int, total: int, lr_max: float, lr_min: float = 0.0) -> float:
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * t / total))
 
 
-def _no_decay_names(params: ParamStore) -> frozenset[str]:
-    return frozenset(name for name, p in params.items() if p.value.ndim < 2)
-
-
 # --- epoch loop and evaluation ----------------------------------------------------
 
 
@@ -260,7 +250,6 @@ def train_epoch(
     inputs, targets = data
     model.set_mode(True)
     order = rng.child("shuffle", epoch).permutation(len(inputs))
-    no_decay = _no_decay_names(model.params)
     losses, norms = [], []
     n_classes = model.cfg.n_classes
     for start in range(0, len(order), cfg.batch_size):
@@ -270,7 +259,7 @@ def train_epoch(
         model.params.zero_grads()
         model.backward(mp, dlogits)
         norms.append(clip_global_norm(model.params, cfg.max_grad_norm))
-        adamw_step(model.params, opt, lr, cfg.weight_decay, no_decay)
+        adamw_step(model.params, opt, lr, cfg.weight_decay)
         losses.append(loss)
     norms = np.array(norms)
     return {

@@ -353,6 +353,29 @@ class TestEmbeddingsMode:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
 
+    @pytest.mark.parametrize("key,value", [("d", 0), ("n_classes", 1)])
+    def test_bad_model_value_exits_2_before_reading_a_split(self, tmp_path, capsys, key, value):
+        """The model config is checked before the embedding files, which
+        would otherwise refuse it as a data error first."""
+        from inceptive.encoder import save_embeddings
+        from inceptive.tensor import Rng
+
+        for name in ("train", "val", "test"):
+            save_embeddings(tmp_path / f"{name}.iemb", Rng(7).child(name).normal((8, 3, 8)),
+                            np.arange(8) % 4, n_classes=4)
+        config = {
+            "d": 8, "c": 2, "n_heads": 2, "head_dim": 4, "dense_dim": 4, "n_classes": 4,
+            "seq_len": 3, "batch_size": 4, "epochs": 1, "lr": 0.01,
+            "train_embeddings": "train.iemb", "val_embeddings": "val.iemb",
+            "test_embeddings": "test.iemb", key: value,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--runs", "1", "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_labels_must_fit_the_configured_label_space(self, tmp_path, capsys):
         from inceptive.encoder import save_embeddings
         from inceptive.tensor import Rng
@@ -439,7 +462,7 @@ class TestExitCodes:
         ("d", "8"), ("d", 8.0), ("d", True), ("epochs", 1.5), ("lr", "x"), ("lr", float("nan")),
         ("dropout_rate", None), ("train_path", 3), ("batch_size", 0), ("weight_decay", -1),
         ("lr_min", 1.0), ("enc_heads", 0), ("enc_layers", -1), ("ffn_size", 0),
-        ("seq_len", -1), ("seq_len", 0), ("max_grad_norm", 0.0),
+        ("seq_len", -1), ("seq_len", 0), ("max_grad_norm", 0.0), ("n_classes", 1),
         ("task", "multi-cl\xe9ss"),  # written as Latin-1 below: the file is not UTF-8
     ])
     def test_bad_config_value_exits_2(self, workspace, capsys, key, value):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,22 @@ class TestEmbeddingFile:
             h2, _ = load_embeddings(path)
             assert h2.dtype == np.float32 and not h2.flags.writeable
             assert h2.tobytes() == h.astype("<f4").tobytes()
+
+    def test_save_copies_no_float32_payload(self, tmp_path):
+        """The traced peak of saving float32 states stays under half their
+        size, and the file holds the layout's bytes in order."""
+        h = Rng(3).normal((8, 64, 512)).astype(np.float32)
+        labels = np.arange(8) % 3
+        path = tmp_path / "e.iemb"
+        tracemalloc.start()
+        try:
+            save_embeddings(path, h, labels, n_classes=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= h.nbytes // 2
+        header = b"IEMB" + struct.pack("<IIIIBI", 1, 8, 64, 512, 0, 3)
+        assert path.read_bytes() == header + labels.astype("<u4").tobytes() + h.astype("<f4").tobytes()
 
     def test_round_trip_multilabel(self, tmp_path):
         h = Rng(1).normal((3, 2, 4))

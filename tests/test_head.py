@@ -422,41 +422,58 @@ class TestBaselineHead:
 class TestAttentionReceived:
     def test_uniform_weights(self):
         w = np.full((1, 2, 4, 4), 0.25)
-        amap = attention_received(w)
+        amap = attention_received(w.sum(axis=2))
         np.testing.assert_allclose(amap, 0.25)
 
     def test_point_mass_on_first_token(self):
         w = np.zeros((1, 2, 3, 3))
         w[..., 0] = 1.0
-        amap = attention_received(w)
+        amap = attention_received(w.sum(axis=2))
         np.testing.assert_allclose(amap[0], [1.0, 0.0, 0.0])
 
     def test_two_head_hand_average(self):
         w = np.zeros((1, 2, 2, 2))
         w[0, 0] = [[1.0, 0.0], [0.0, 1.0]]
         w[0, 1] = [[0.5, 0.5], [0.25, 0.75]]
-        amap = attention_received(w)
+        amap = attention_received(w.sum(axis=2))
         np.testing.assert_allclose(amap[0], [(1 + 0 + 0.5 + 0.25) / 4, (0 + 1 + 0.5 + 0.75) / 4])
 
     def test_non_normalized_rows_rejected(self):
         w = np.full((1, 1, 2, 2), 0.3)
         with pytest.raises(InputError):
-            attention_received(w)
+            attention_received(w.sum(axis=2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):
         w = np.full((1, 2, 3, 3), 1.0 / 3)
         w[0, 1, 2, 0] = bad
         with pytest.raises(NumericError):
-            attention_received(w)
+            attention_received(w.sum(axis=2))
 
     def test_received_sums_to_one(self):
         rng = Rng(14)
         scores = rng.normal((3, 2, 5, 5)) * 4
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         w = e / e.sum(axis=-1, keepdims=True)
-        amap = attention_received(w)
+        amap = attention_received(w.sum(axis=2))
         np.testing.assert_allclose(amap.sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_received_map_forms_no_weight_rows(self, monkeypatch):
+        """Over several chunks of examples the map comes from the forward's
+        column sums alone: it is the same with the weight-row kernel gone."""
+        b, length = 9, 6
+        monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", 4 * TOY["n_heads"] * length**2)
+        cfg, _, state = build()
+        hp = state.forward(Rng(1).normal((b, length, cfg.d)))
+        assert len(hp.mha.chunks()) == 3
+        want = state.received(hp)
+
+        def no_rows(q, k):
+            raise AssertionError("the received map formed weight rows")
+
+        monkeypatch.setattr(inceptive.layers, "_attention_weights", no_rows)
+        assert np.array_equal(state.received(hp), want)
+        np.testing.assert_allclose(want.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_entropy_extremes(self):
         uniform = np.full((1, 4), 0.25)

@@ -11,6 +11,7 @@ rather than in a benchmark run.
 
 import importlib
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -22,7 +23,8 @@ from inceptive.head import ModelConfig
 from inceptive.model import HeadOnlyClassifier, SequenceClassifier
 from inceptive.tensor import Rng
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import measure  # noqa: E402
 import spans  # noqa: E402
 
@@ -116,3 +118,12 @@ def test_measure_setup_stops_at_first_forward(form):
     assert measure.measure_setup(call) >= 0.0
     assert reached == ["built"]
     assert [vars(cls)["forward"] for cls in classes] == originals
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` runs every workload untraced and traced at
+    tiny shapes, through the gates and wraps the benchmark itself uses."""
+    done = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert done.returncode == 0, done.stdout + done.stderr

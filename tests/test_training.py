@@ -114,7 +114,7 @@ class TestAdamW:
         store.add("w", np.array([[1.0]]))
         store.add("b", np.array([1.0]))
         state = init_adamw(store)
-        adamw_step(store, state, lr=0.1, weight_decay=0.5, no_decay=frozenset({"b"}))
+        adamw_step(store, state, lr=0.1, weight_decay=0.5)
         assert store.value("b")[0] == 1.0  # zero grad, decay skipped
         assert store.value("w")[0, 0] == pytest.approx(1.0 - 0.1 * 0.5)
 
@@ -124,8 +124,9 @@ def _moment(flat, params, name):
     return flat[params.slice_of(name)].reshape(params.value(name).shape)
 
 
-def _adamw_reference(params, state, lr, weight_decay, no_decay):
-    """The update as one expression per line, each allocating its result."""
+def _adamw_reference(params, state, lr, weight_decay):
+    """The update as one expression per line, each allocating its result;
+    parameters with fewer than two axes do not decay."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
@@ -137,28 +138,37 @@ def _adamw_reference(params, state, lr, weight_decay, no_decay):
         m[...] = b1 * m + (1 - b1) * g
         v[...] = b2 * v + (1 - b2) * g * g
         update = lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-        if weight_decay and name not in no_decay:
+        if weight_decay and p.value.ndim >= 2:
             update = update + lr * weight_decay * p.value
         p.value -= update
+
+
+def _decay_shape(name, shape, no_decay):
+    """``shape`` laid out so the parameter decays unless ``name`` is in
+    ``no_decay``: exempt parameters get one axis, decayed ones two or more."""
+    if name in no_decay:
+        return (int(np.prod(shape)),)
+    return shape if len(shape) >= 2 else (1, *shape)
 
 
 class TestAdamWInPlace:
     @pytest.mark.parametrize("no_decay", [frozenset(), frozenset({"b"})])
     def test_bitwise_equal_to_reference_formula(self, no_decay):
         rng = Rng(21)
+        b_shape = _decay_shape("b", (32,), no_decay)
         stores = []
         for _ in range(2):
             store = ParamStore()
             store.add("w", Rng(22).normal((64, 32)))
-            store.add("b", Rng(23).normal(32))
+            store.add("b", Rng(23).normal(b_shape))
             stores.append((store, init_adamw(store)))
         for step in range(4):
-            grads = {"w": rng.normal((64, 32)), "b": rng.normal(32) * 10.0 ** -step}
+            grads = {"w": rng.normal((64, 32)), "b": rng.normal(b_shape) * 10.0 ** -step}
             lr = cosine_lr(step, 4, 0.05, 0.001)
             for (store, state), update in zip(stores, (adamw_step, _adamw_reference)):
                 for name, g in grads.items():
                     store.grad(name)[...] = g
-                update(store, state, lr, 0.3, no_decay)
+                update(store, state, lr, 0.3)
         (got, got_state), (want, want_state) = stores
         for name in ("w", "b"):
             assert np.array_equal(got.value(name), want.value(name))
@@ -172,7 +182,7 @@ class TestAdamWArena:
         """Seven-element blocks cut through every parameter and every decay
         run; the blocked sweep is still bitwise the reference formula."""
         monkeypatch.setattr(training, "_ADAMW_BLOCK", 7)
-        shapes = {"w": (5, 7), "b": (3,), "u": (4, 4)}
+        shapes = {name: _decay_shape(name, shape, no_decay) for name, shape in (("w", (5, 7)), ("b", (3,)), ("u", (4, 4)))}
         stores = []
         for _ in range(2):
             store = ParamStore()
@@ -185,7 +195,7 @@ class TestAdamWArena:
             for (store, state), update in zip(stores, (adamw_step, _adamw_reference)):
                 for name, g in grads.items():
                     store.grad(name)[...] = g
-                update(store, state, cosine_lr(step, 4, 0.05, 0.001), 0.3, no_decay)
+                update(store, state, cosine_lr(step, 4, 0.05, 0.001), 0.3)
         (got, got_state), (want, want_state) = stores
         for name in shapes:
             assert np.array_equal(got.value(name), want.value(name))
@@ -203,7 +213,7 @@ class TestAdamWArena:
             p.grad[...] = 0.5
         tracemalloc.start()
         try:
-            adamw_step(store, state, 1e-3, 0.1, frozenset({"b", "d"}))
+            adamw_step(store, state, 1e-3, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
