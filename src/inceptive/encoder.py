@@ -6,6 +6,8 @@ ingested from an embedding file exported by any external model.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 
@@ -182,8 +184,10 @@ def encode_backward(cfg: EncoderConfig, params: ParamStore, cache: EncoderCache,
 # (u32 each for class indices, C x u8 each for multi-label rows), then
 # B*L*d finite little-endian float32 values in row-major order. B, L and d
 # are at least 1; a class index is below C and a multi-label byte is 0 or 1.
-# The payload is read in place and stays float32 in memory; the head widens
-# it to float64 where it reads it.
+# The payload is mapped read-only and stays float32 in memory; the head widens
+# it to float64 where it reads it. A mapped file must not be truncated or
+# rewritten in place while its arrays live (reading a lost page is SIGBUS), so
+# the writer replaces the file instead.
 
 _EMB_MAGIC = b"IEMB"
 _EMB_VERSION = 1
@@ -209,34 +213,48 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     # the integer test matters: astype below would truncate 0.7 to 0
     if not ((labels >= 0) & (labels < limit) & (labels == np.floor(labels))).all():
         raise LabelError(f"labels must be integers in [0, {limit})")
-    payload = np.ascontiguousarray(finite_float32(h, "hidden state"))
+    payload = finite_float32(h, "hidden state")
     header = struct.pack("<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes)
-    with open(path, "wb") as fh:
-        fh.write(_EMB_MAGIC + header)
-        fh.write(labels.astype(np.uint8 if multilabel else "<u4").tobytes())
-        fh.write(payload.data)
+    # a sibling file renamed over the target: arrays mapped from the old file keep its bytes
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_EMB_MAGIC + header)
+            fh.write(labels.astype(np.uint8 if multilabel else "<u4").tobytes())
+            fh.write(payload.data)
+        os.replace(tmp, path)
+    finally:  # after a failed write or rename, leave no temporary behind
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-def load_embeddings(path, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def load_embeddings(path, n_classes: int | None = None, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse an embedding file; returns (hidden states, labels).
 
-    The hidden states are the file's float32 payload as a read-only array,
-    not copied or widened; they carry no gradient, entering the pipeline as
-    a frozen input. A file that breaks the layout above, or whose C differs
-    from ``n_classes`` when that is given, raises
+    The hidden states are a read-only float32 view of the file, mapped with
+    ``mmap`` rather than read, so loading copies no payload (its pages are
+    the file's, shared with the page cache); they carry no gradient, entering
+    the pipeline as a frozen input. The payload is checked for finite values
+    in fixed-size chunks. A file that breaks the layout above, or whose d or
+    C differs from ``d`` or ``n_classes`` when given, raises
     :class:`~inceptive.errors.FormatError` naming the file and the failing
-    byte offset.
+    byte offset; the header is checked before the payload is scanned. The
+    file must not be truncated or rewritten in place while the array lives.
     """
     with open(path, "rb") as fh:
-        r = BinaryReader(fh.read())
+        # mmap refuses an empty file, which reads as an empty buffer: a bad magic
+        size = os.fstat(fh.fileno()).st_size
+        r = BinaryReader(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b"")
     try:
         r.magic(_EMB_MAGIC, "embedding-file")
-        version, b, length, d, label_kind, classes = r.unpack("<IIIIBI", "embedding header")
+        version, b, length, width, label_kind, classes = r.unpack("<IIIIBI", "embedding header")
         if version != _EMB_VERSION:
             raise FormatError(f"unsupported embedding-file version {version}", 4)
-        for at, field, n in ((8, "B", b), (12, "L", length), (16, "d", d)):
+        for at, field, n in ((8, "B", b), (12, "L", length), (16, "d", width)):
             if n == 0:
                 raise FormatError(f"embedding header field {field} is 0", at)
+        if d is not None and width != d:
+            raise FormatError(f"embedding width {width} vs configured d={d}", 16)
         if n_classes is not None and classes != n_classes:
             raise FormatError(f"label space C={classes} vs configured n_classes={n_classes}", 21)
         if label_kind == 0:
@@ -245,7 +263,7 @@ def load_embeddings(path, n_classes: int | None = None) -> tuple[np.ndarray, np.
             labels = r.array("u1", (b, classes), "multi-label rows", limit=2).astype(np.float64)
         else:
             raise FormatError(f"unknown label kind {label_kind}", 20)
-        h = r.array("<f4", (b, length, d), "payload")
+        h = r.array("<f4", (b, length, width), "payload")
         r.end("embedding file")
     except FormatError as exc:  # a run reads three splits: say which file is bad
         exc.args = (f"{path}: {exc}",)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import encode_batch, load_dataset, load_vocab
 from .encoder import EncoderConfig, load_embeddings
-from .errors import ConfigError, DimensionError, InputError
+from .errors import ConfigError, InputError
 from .head import ModelConfig, received_entropy, write_attention_csv, write_attention_pgm
 from .metrics import wilcoxon_signed_rank
 from .model import SequenceClassifier
@@ -158,11 +158,7 @@ def load_data(settings: RunSettings, splits: tuple[str, ...] = _SPLITS) -> DataB
     parts = dict.fromkeys(_SPLITS)
     if settings.embeddings_mode:
         for split in splits:
-            path = settings.paths[f"{split}_embeddings"]
-            h, labels = load_embeddings(path, n_classes)
-            if h.shape[2] != settings.model.d:
-                raise DimensionError(f"{path}: embedding width {h.shape[2]} vs configured d={settings.model.d}")
-            parts[split] = (h, labels)
+            parts[split] = load_embeddings(settings.paths[f"{split}_embeddings"], n_classes, settings.model.d)
         return DataBundle(**parts)
     vocab = load_vocab(settings.paths["vocab_path"])
     for split in splits:

@@ -266,13 +266,31 @@ def grad_check(
     return max_rel
 
 
-class BinaryReader:
-    """Bounds-checked cursor over the bytes of a checkpoint or embedding file.
-    Each read checks its size (a Python int, so it cannot overflow) against
-    the bytes left before it slices or allocates, and every failure raises
-    :class:`~inceptive.errors.FormatError` at the offset of the read."""
+# Values are checked this many at a time, so a scan's temporaries stay a
+# fixed size however large the array is.
+_SCAN_CHUNK = 1 << 16
 
-    def __init__(self, buf: bytes):
+
+def _first_bad(flat: np.ndarray, limit: int | None = None) -> int | None:
+    """Index of the first value of 1-D ``flat`` that is not finite, or not
+    below ``limit`` when given; ``None`` when every value passes."""
+    for start in range(0, flat.size, _SCAN_CHUNK):
+        chunk = flat[start : start + _SCAN_CHUNK]
+        ok = np.isfinite(chunk) if limit is None else chunk < limit
+        if not ok.all():
+            return start + int(np.argmin(ok))
+    return None
+
+
+class BinaryReader:
+    """Bounds-checked cursor over the bytes of a checkpoint or embedding file,
+    given as ``bytes`` or a read-only ``mmap``. Each read checks its size (a
+    Python int, so it cannot overflow) against the bytes left before it slices
+    or allocates, and every failure raises
+    :class:`~inceptive.errors.FormatError` at the offset of the read. Arrays
+    are views of the buffer, checked ``_SCAN_CHUNK`` values at a time."""
+
+    def __init__(self, buf):
         self.buf = memoryview(buf)
         self.off = 0
 
@@ -298,9 +316,8 @@ class BinaryReader:
             raise FormatError(f"zero extent in {what} shape {shape}", at)
         dt = np.dtype(dtype)
         data = np.frombuffer(self.take(math.prod(shape) * dt.itemsize, what), dtype=dt)
-        ok = np.isfinite(data) if limit is None else data < limit
-        if not ok.all():
-            bad = int(np.argmin(ok))
+        bad = _first_bad(data, limit)
+        if bad is not None:
             rule = "non-finite" if limit is None else f"out-of-range (limit {limit})"
             raise FormatError(f"{rule} value {data[bad]} in {what}", at + dt.itemsize * bad)
         return data.reshape(shape)
@@ -321,14 +338,14 @@ _VERSION = 1
 
 
 def finite_float32(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` as little-endian float32, not copied when it already is. A
-    value that is not finite there (NaN, infinite, or beyond float32 range)
-    raises ``NumericError`` naming ``what`` and the value's index."""
+    """``arr`` as C-ordered little-endian float32, not copied when it already
+    is. A value that is not finite there (NaN, infinite, or beyond float32
+    range) raises ``NumericError`` naming ``what`` and the value's index."""
     with np.errstate(over="ignore"):
-        out = arr.astype("<f4", copy=False)
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = np.unravel_index(int(np.argmin(finite)), arr.shape)
+        out = np.asarray(arr, dtype="<f4", order="C")
+    bad = _first_bad(out.reshape(-1))
+    if bad is not None:
+        bad = np.unravel_index(bad, arr.shape)
         raise NumericError(f"{what} {tuple(map(int, bad))} = {float(arr[bad])} is not a finite float32")
     return out
 

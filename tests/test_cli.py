@@ -434,6 +434,53 @@ class TestEmbeddingsMode:
         err = capsys.readouterr().err
         assert f"{val}: out-of-range (limit 4) value 9 in class-index labels (byte offset {at})" in err
 
+    def test_width_mismatch_is_named_before_the_payload_scan(self, tmp_path, capsys):
+        """A split of the wrong width is refused at its header's d field,
+        even when its payload also holds a NaN the scan would report."""
+        from inceptive.encoder import save_embeddings
+        from inceptive.tensor import Rng
+
+        for name in ("train", "val", "test"):
+            save_embeddings(tmp_path / f"{name}.iemb", Rng(8).child(name).normal((4, 3, 5)),
+                            np.array([0, 1, 0, 1]), n_classes=2)
+        train = tmp_path / "train.iemb"
+        blob = train.read_bytes()
+        at = 4 + 21 + 4 * 4 + 4 * 7  # hidden state (0, 1, 2)
+        train.write_bytes(blob[:at] + np.float32(np.nan).tobytes() + blob[at + 4 :])
+        config = {
+            "d": 8, "c": 2, "n_heads": 2, "head_dim": 4, "dense_dim": 4, "n_classes": 2,
+            "seq_len": 3, "epochs": 1, "lr": 0.01,
+            "train_embeddings": "train.iemb", "val_embeddings": "val.iemb",
+            "test_embeddings": "test.iemb",
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--runs", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {train}: embedding width 5 vs configured d=8 (byte offset 16)" in err
+        assert not out.exists()
+
+    def test_zero_byte_split_is_a_data_error_naming_it(self, tmp_path, capsys):
+        from inceptive.encoder import save_embeddings
+
+        for name in ("train", "test"):
+            save_embeddings(tmp_path / f"{name}.iemb", np.ones((4, 3, 8)), np.array([0, 1, 0, 1]),
+                            n_classes=2)
+        val = tmp_path / "val.iemb"
+        val.write_bytes(b"")
+        config = {
+            "d": 8, "c": 2, "n_heads": 2, "head_dim": 4, "dense_dim": 4, "n_classes": 2,
+            "seq_len": 3, "epochs": 1, "lr": 0.01,
+            "train_embeddings": "train.iemb", "val_embeddings": "val.iemb",
+            "test_embeddings": "test.iemb",
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["train", "--config", str(cfg_path), "--runs", "1", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert f"data error: {val}: bad embedding-file magic (byte offset 0)" in capsys.readouterr().err
+
     def test_empty_split_is_data_error(self, tmp_path, capsys):
         from inceptive.encoder import save_embeddings
 

@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -153,6 +154,79 @@ class TestEmbeddingFile:
         assert peak <= h.nbytes // 2
         header = b"IEMB" + struct.pack("<IIIIBI", 1, 8, 64, 512, 0, 3)
         assert path.read_bytes() == header + labels.astype("<u4").tobytes() + h.astype("<f4").tobytes()
+
+    def test_save_scan_peak_is_bounded(self, tmp_path):
+        """The finiteness check runs in fixed-size chunks, so saving 8.4 MB of
+        float32 states peaks under 512 KB traced, and the bytes are the
+        layout's in order."""
+        h = Rng(4).normal((32, 128, 512)).astype(np.float32)
+        labels = np.arange(32) % 3
+        path = tmp_path / "e.iemb"
+        tracemalloc.start()
+        try:
+            save_embeddings(path, h, labels, n_classes=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+        header = b"IEMB" + struct.pack("<IIIIBI", 1, 32, 128, 512, 0, 3)
+        assert path.read_bytes() == header + labels.astype("<u4").tobytes() + h.tobytes()
+
+    def test_dataset_scale_payload_is_mapped(self, tmp_path):
+        """A 64 MB file loads with a traced peak under 4 MB: the payload is a
+        read-only float32 view of the file, byte-equal to what was saved."""
+        h = np.arange(2**24, dtype=np.float32).reshape(128, 128, 1024)
+        path = tmp_path / "big.iemb"
+        save_embeddings(path, h, np.arange(128) % 4, n_classes=4)
+        assert path.stat().st_size >= 64 * 2**20
+        tracemalloc.start()
+        try:
+            h2, labels = load_embeddings(path, n_classes=4, d=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert h2.dtype == np.float32 and not h2.flags.writeable and h2.shape == h.shape
+        assert np.array_equal(h2.view("<u4"), h.view("<u4"))
+        assert labels.tolist() == (np.arange(128) % 4).tolist()
+
+    def test_rewrite_replaces_the_file_under_loaded_arrays(self, tmp_path):
+        """The writer renames a sibling file over the target, so an array
+        mapped from the old file keeps its values, and no temporary remains."""
+        path = tmp_path / "e.iemb"
+        save_embeddings(path, np.ones((2, 4, 3)), np.array([0, 1]), n_classes=2)
+        h, _ = load_embeddings(path)
+        save_embeddings(path, np.full((2, 4, 3), 7.0), np.array([1, 0]), n_classes=2)
+        assert (h == 1.0).all()
+        h2, labels2 = load_embeddings(path)
+        assert (h2 == 7.0).all() and labels2.tolist() == [1, 0]
+        assert os.listdir(tmp_path) == ["e.iemb"]
+        (tmp_path / "dir.iemb").mkdir()
+        with pytest.raises(IsADirectoryError):  # the rename fails; its temporary is removed
+            save_embeddings(tmp_path / "dir.iemb", np.ones((2, 4, 3)), np.array([0, 1]), n_classes=2)
+        assert sorted(os.listdir(tmp_path)) == ["dir.iemb", "e.iemb"]
+
+    def test_empty_file_is_a_bad_magic_at_offset_zero(self, tmp_path):
+        """``mmap`` refuses a 0-byte file; the loader reads it as an empty buffer."""
+        path = tmp_path / "e.iemb"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="bad embedding-file magic") as err:
+            load_embeddings(path)
+        assert err.value.offset == 0
+
+    def test_width_checked_against_d_before_the_payload(self, tmp_path):
+        path = tmp_path / "e.iemb"
+        save_embeddings(path, np.ones((2, 4, 3)), np.array([0, 1]), n_classes=2)
+        assert load_embeddings(path, d=3)[0].shape == (2, 4, 3)
+        blob = path.read_bytes()
+        at = 4 + 21 + 4 * 2 + 4 * 5  # hidden state (0, 1, 2)
+        path.write_bytes(blob[:at] + np.float32(np.nan).tobytes() + blob[at + 4 :])
+        with pytest.raises(FormatError, match="embedding width 3 vs configured d=8") as err:
+            load_embeddings(path, n_classes=2, d=8)
+        assert err.value.offset == 16
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_embeddings(path, n_classes=2, d=3)
+        assert err.value.offset == at
 
     def test_round_trip_multilabel(self, tmp_path):
         h = Rng(1).normal((3, 2, 4))

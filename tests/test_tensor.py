@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from inceptive.errors import ConfigError, DimensionError, FormatError, NumericError
 from inceptive.head import ModelConfig
 from inceptive.model import SequenceClassifier
+from inceptive import tensor
 from inceptive.tensor import (
+    BinaryReader,
     ParamStore,
     Rng,
     clip_global_norm,
+    finite_float32,
     glorot_uniform,
     grad_check,
     load_checkpoint,
@@ -303,3 +308,38 @@ class TestTensorIO:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+
+class TestChunkedScan:
+    """Values are checked ``_SCAN_CHUNK`` at a time; a chunk of 4 puts the
+    bad values below in the first, a middle and the last (partial) chunk."""
+
+    @pytest.mark.parametrize("first_bad", [0, 5, 13])
+    def test_reader_reports_the_first_bad_value_at_its_offset(self, monkeypatch, first_bad):
+        monkeypatch.setattr(tensor, "_SCAN_CHUNK", 4)
+        data = np.ones(14, dtype="<f4")
+        data[first_bad] = np.nan
+        data[13] = np.inf
+        r = BinaryReader(b"head" + data.tobytes())
+        r.take(4, "head")
+        with pytest.raises(FormatError, match=r"non-finite value (nan|inf) in payload") as err:
+            r.array("<f4", (2, 7), "payload")
+        assert err.value.offset == 4 + 4 * first_bad
+        labels = np.array([0, 1, 2, 1, 0, 3, 2], dtype="<u4")
+        r = BinaryReader(labels.tobytes())
+        with pytest.raises(FormatError, match=r"value 3 in labels") as err:
+            r.array("<u4", (7,), "labels", limit=3)
+        assert err.value.offset == 4 * 5
+
+    @pytest.mark.parametrize("first_bad", [(0, 0), (1, 2), (2, 4)])
+    def test_finite_float32_names_the_first_bad_index(self, monkeypatch, first_bad):
+        monkeypatch.setattr(tensor, "_SCAN_CHUNK", 4)
+        x = np.ones((3, 5))
+        at = np.ravel_multi_index(first_bad, x.shape)
+        x.reshape(-1)[at:] = np.nan  # every later value is bad too
+        x[first_bad] = 1e39
+        with pytest.raises(NumericError, match=rf"x {re.escape(str(first_bad))} = 1e\+39 is not"):
+            finite_float32(x, "x")
+        y = np.arange(15, dtype=np.float32).reshape(3, 5)
+        assert finite_float32(y, "y") is y
+        assert finite_float32(y.T, "y").flags.c_contiguous
