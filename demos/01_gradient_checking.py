@@ -6,6 +6,8 @@ deterministic), runs one forward/backward, then perturbs every parameter
 entry by +-1e-5 and compares.
 """
 
+import sys
+
 import numpy as np
 
 from inceptive import ModelConfig, Rng, grad_check
@@ -22,26 +24,33 @@ hidden = rng.child("hidden").normal((2, 8, cfg.d))
 targets = np.array([0, 2])
 
 
-def loss_fn(_params):
-    # reads the shared store; per-tensor views below alias its arrays
-    out = head_forward(cfg, store, state, hidden)
-    return softmax_cross_entropy(out.logits, targets)[0]
+def loss(params):
+    return softmax_cross_entropy(head_forward(cfg, params, state, hidden).logits, targets)[0]
 
 
 out = head_forward(cfg, store, state, hidden)
-loss, dlogits = softmax_cross_entropy(out.logits, targets)
+value, dlogits = softmax_cross_entropy(out.logits, targets)
 store.zero_grads()
 head_backward(cfg, store, state, out, dlogits)
 
-print(f"loss = {loss:.6f}")
+print(f"loss = {value:.6f}")
 print(f"{'parameter':42s} {'shape':>12s} {'rel err':>10s}")
 worst = 0.0
 for name, p in store.items():
-    # check one tensor at a time so the report is per parameter
+    # check one tensor at a time so the report is per parameter: a one-entry
+    # store holds a copy of it, which each loss evaluation writes into the head's store
     single = type(store)()
-    single.add(name, p.value)  # aliases the store's array, no copy
+    single.add(name, p.value)
     single.grad(name)[...] = p.grad
+
+    def loss_fn(params, name=name):
+        store.value(name)[...] = params.value(name)
+        return loss(store)
+
     err = grad_check(loss_fn, single, 1e-5)
+    store.value(name)[...] = single.value(name)  # grad_check restored the copy; restore the original
     worst = max(worst, err)
     print(f"{name:42s} {str(p.value.shape):>12s} {err:10.2e}")
 print(f"\nmax relative error over all parameters: {worst:.2e} (target < 1e-4)")
+if not worst < 1e-4:
+    sys.exit(1)

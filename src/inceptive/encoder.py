@@ -26,10 +26,11 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .tensor import BinaryReader, ParamStore, Rng, finite_float32, glorot_uniform
+from .tensor import BinaryReader, ParamSpec, ParamStore, Rng, finite_float32
 
 __all__ = [
     "EncoderConfig",
+    "encoder_param_specs",
     "init_encoder_params",
     "embed",
     "embed_backward",
@@ -64,26 +65,23 @@ class EncoderConfig:
         return self.d // self.n_heads
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: Rng, store: ParamStore | None = None) -> ParamStore:
-    """Glorot-uniform weights, unit norm scales, zero biases and shifts."""
-    store = store if store is not None else ParamStore()
-    d, dh = cfg.d, cfg.head_dim
-    store.add("encoder.tok_embed", glorot_uniform(rng, (cfg.vocab_size, d), cfg.vocab_size, d))
-    store.add("encoder.pos_embed", glorot_uniform(rng, (cfg.max_len, d), cfg.max_len, d))
+def encoder_param_specs(cfg: EncoderConfig) -> list[ParamSpec]:
+    """Glorot-uniform weights, unit norm scales, zero biases and shifts, in store order."""
+    d, dh, hd, f = cfg.d, cfg.head_dim, cfg.n_heads * cfg.head_dim, cfg.ffn_size
+    specs: list[ParamSpec] = [("encoder.tok_embed", (cfg.vocab_size, d), (cfg.vocab_size, d))]
+    specs.append(("encoder.pos_embed", (cfg.max_len, d), (cfg.max_len, d)))
     for i in range(cfg.n_layers):
         b = f"encoder.block{i}."
-        store.add(b + "ln1.scale", np.ones(d))
-        store.add(b + "ln1.shift", np.zeros(d))
-        for name in ("attn.w_q", "attn.w_k", "attn.w_v"):
-            store.add(b + name, glorot_uniform(rng, (cfg.n_heads, d, dh), d, dh))
-        store.add(b + "attn.w_o", glorot_uniform(rng, (cfg.n_heads * dh, d), cfg.n_heads * dh, d))
-        store.add(b + "ln2.scale", np.ones(d))
-        store.add(b + "ln2.shift", np.zeros(d))
-        store.add(b + "ffn.w1", glorot_uniform(rng, (d, cfg.ffn_size), d, cfg.ffn_size))
-        store.add(b + "ffn.b1", np.zeros(cfg.ffn_size))
-        store.add(b + "ffn.w2", glorot_uniform(rng, (cfg.ffn_size, d), cfg.ffn_size, d))
-        store.add(b + "ffn.b2", np.zeros(d))
-    return store
+        specs += [(b + "ln1.scale", (d,), 1.0), (b + "ln1.shift", (d,), 0.0)]
+        specs += [(b + name, (cfg.n_heads, d, dh), (d, dh)) for name in ("attn.w_q", "attn.w_k", "attn.w_v")]
+        specs += [(b + "attn.w_o", (hd, d), (hd, d)), (b + "ln2.scale", (d,), 1.0), (b + "ln2.shift", (d,), 0.0)]
+        specs += [(b + "ffn.w1", (d, f), (d, f)), (b + "ffn.b1", (f,), 0.0)]
+        specs += [(b + "ffn.w2", (f, d), (f, d)), (b + "ffn.b2", (d,), 0.0)]
+    return specs
+
+
+def init_encoder_params(cfg: EncoderConfig, rng: Rng) -> ParamStore:
+    return ParamStore((encoder_param_specs(cfg), rng))
 
 
 def embed(cfg: EncoderConfig, params: ParamStore, ids: np.ndarray) -> np.ndarray:

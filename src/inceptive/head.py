@@ -7,8 +7,7 @@ Two ablation variants remove exactly one named stage each (``no_attn``
 pools the enriched features directly; ``no_dense`` classifies the pooled
 attention output directly), and a first-token baseline head serves as the
 conventional comparator. Both heads share one interface (``forward``,
-``backward``, ``set_mode``, ``buffers``, ``load_buffers``); :func:`make_head`
-builds either.
+``backward``, ``set_mode``, ``buffers``); :func:`make_head` builds either.
 """
 
 from __future__ import annotations
@@ -42,12 +41,13 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .tensor import ParamStore, Rng, glorot_uniform
+from .tensor import ParamSpec, ParamStore, Rng
 
 __all__ = [
     "KERNEL_SIZES",
     "VARIANTS",
     "ModelConfig",
+    "head_param_specs",
     "init_head_params",
     "make_head_state",
     "make_head",
@@ -59,6 +59,7 @@ __all__ = [
     "head_forward",
     "head_backward",
     "HeadPass",
+    "baseline_param_specs",
     "init_baseline_params",
     "BaselineHead",
     "BaselinePass",
@@ -131,38 +132,33 @@ class ModelConfig:
         return self.dense_dim if self.has_dense else self.d_r
 
 
-def init_head_params(cfg: ModelConfig, rng: Rng, store: ParamStore | None = None) -> ParamStore:
-    """Create exactly the parameters the configured variant uses.
-
-    Weights are Glorot-uniform (convolution fans count kernel taps);
-    biases and norm shifts start at zero, norm scales at one.
-    """
-    store = store if store is not None else ParamStore()
-    d, c = cfg.d, cfg.c
+def head_param_specs(cfg: ModelConfig) -> list[ParamSpec]:
+    """Exactly the parameters the configured variant uses, in store order:
+    Glorot-uniform weights (convolution fans count kernel taps), zero biases
+    and norm shifts, unit norm scales."""
+    c, r, n = cfg.c, cfg.d_r, cfg.dense_dim
+    specs: list[ParamSpec] = []
     for k in KERNEL_SIZES:
         # No conv bias: batch norm follows immediately and its mean
         # subtraction cancels a per-channel constant, so the shift term
         # below carries that role.
         b = _branch_name(k)
-        store.add(b + "weight", glorot_uniform(rng, (c, k, d), k * d, k * c))
-        store.add(b + "bn.scale", np.ones(c))
-        store.add(b + "bn.shift", np.zeros(c))
+        specs.append((b + "weight", (c, k, cfg.d), (k * cfg.d, k * c)))
+        specs += [(b + "bn.scale", (c,), 1.0), (b + "bn.shift", (c,), 0.0)]
     if cfg.has_attention:
         h, da = cfg.n_heads, cfg.resolved_head_dim
-        for name in ("attn.w_q", "attn.w_k", "attn.w_v"):
-            store.add("head." + name, glorot_uniform(rng, (h, cfg.d_r, da), cfg.d_r, da))
-        store.add("head.attn.w_o", glorot_uniform(rng, (h * da, cfg.d_r), h * da, cfg.d_r))
+        specs += [("head." + name, (h, r, da), (r, da)) for name in ("attn.w_q", "attn.w_k", "attn.w_v")]
+        specs.append(("head.attn.w_o", (h * da, r), (h * da, r)))
     if cfg.has_dense:
-        store.add("head.dense.weight", glorot_uniform(rng, (cfg.d_r, cfg.dense_dim), cfg.d_r, cfg.dense_dim))
-        store.add("head.dense.bias", np.zeros(cfg.dense_dim))
-        store.add("head.dense.ln.scale", np.ones(cfg.dense_dim))
-        store.add("head.dense.ln.shift", np.zeros(cfg.dense_dim))
-    store.add(
-        "head.classifier.weight",
-        glorot_uniform(rng, (cfg.classifier_in, cfg.n_classes), cfg.classifier_in, cfg.n_classes),
-    )
-    store.add("head.classifier.bias", np.zeros(cfg.n_classes))
-    return store
+        specs += [("head.dense.weight", (r, n), (r, n)), ("head.dense.bias", (n,), 0.0)]
+        specs += [("head.dense.ln.scale", (n,), 1.0), ("head.dense.ln.shift", (n,), 0.0)]
+    shape = (cfg.classifier_in, cfg.n_classes)
+    return specs + [("head.classifier.weight", shape, shape), ("head.classifier.bias", (cfg.n_classes,), 0.0)]
+
+
+def init_head_params(cfg: ModelConfig, rng: Rng) -> ParamStore:
+    """A store of :func:`head_param_specs`, drawn from ``rng``."""
+    return ParamStore((head_param_specs(cfg), rng))
 
 
 @dataclass
@@ -204,16 +200,6 @@ class HeadState:
             out[b + "bn.running_var"] = self.bn.running_var[cols]
         return out
 
-    def load_buffers(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in self.buffers().items():
-            if name not in values:
-                raise DimensionError(f"checkpoint missing buffer {name}")
-            if values[name].shape != arr.shape:
-                raise DimensionError(
-                    f"buffer {name} shape {values[name].shape} vs expected {arr.shape}"
-                )
-            arr[...] = values[name]
-
 
 def make_head_state(cfg: ModelConfig, store: ParamStore) -> HeadState:
     """The enrichment head over ``store``, with fresh running statistics
@@ -222,13 +208,13 @@ def make_head_state(cfg: ModelConfig, store: ParamStore) -> HeadState:
     return HeadState(cfg, store, bn, DropoutSpec(cfg.dropout_rate))
 
 
-def make_head(kind: str, cfg: ModelConfig, rng: Rng, store: ParamStore) -> HeadState | BaselineHead:
-    """Add the parameters of head ``kind`` to ``store`` and return the head."""
+def make_head(kind: str, cfg: ModelConfig, rng: Rng, before: tuple = ()) -> HeadState | BaselineHead:
+    """Head ``kind`` over a new store of the ``(specs, rng)`` groups ``before``
+    and then the head's own parameters, drawn from ``rng``."""
     if kind == "inceptive":
-        init_head_params(cfg, rng, store)
-        return make_head_state(cfg, store)
+        return make_head_state(cfg, ParamStore(*before, (head_param_specs(cfg), rng)))
     if kind == "baseline":
-        init_baseline_params(cfg.d, cfg.n_classes, rng, store)
+        store = ParamStore(*before, (baseline_param_specs(cfg.d, cfg.n_classes), rng))
         return BaselineHead(store, DropoutSpec(cfg.dropout_rate))
     raise ConfigError(f"model kind must be one of ('inceptive', 'baseline'), got {kind!r}")
 
@@ -463,11 +449,12 @@ def head_backward(
 # --- first-token baseline comparator --------------------------------------------
 
 
-def init_baseline_params(d: int, n_classes: int, rng: Rng, store: ParamStore | None = None) -> ParamStore:
-    store = store if store is not None else ParamStore()
-    store.add("head.cls.weight", glorot_uniform(rng, (d, n_classes), d, n_classes))
-    store.add("head.cls.bias", np.zeros(n_classes))
-    return store
+def baseline_param_specs(d: int, n_classes: int) -> list[ParamSpec]:
+    return [("head.cls.weight", (d, n_classes), (d, n_classes)), ("head.cls.bias", (n_classes,), 0.0)]
+
+
+def init_baseline_params(d: int, n_classes: int, rng: Rng) -> ParamStore:
+    return ParamStore((baseline_param_specs(d, n_classes), rng))
 
 
 @dataclass
@@ -491,9 +478,6 @@ class BaselineHead:
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
-
-    def load_buffers(self, values: dict[str, np.ndarray]) -> None:
-        pass
 
     def forward(self, h: np.ndarray, rng: Rng | None = None) -> BaselinePass:
         """Only the first row is read; widening it to float64 fixes the pass's dtype."""
@@ -528,7 +512,7 @@ class BaselineHead:
 def shape_probe(cfg: ModelConfig, batch: int = 2, length: int = 8, seed: int = 0) -> dict[str, tuple]:
     """Run a forward pass on random input and report each stage's shape."""
     rng = Rng(seed)
-    head = make_head("inceptive", cfg, rng.child("params"), ParamStore())
+    head = make_head("inceptive", cfg, rng.child("params"))
     head.set_mode(False)
     hp = head.forward(rng.child("input").normal((batch, length, cfg.d)))
     shapes = {

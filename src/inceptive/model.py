@@ -22,11 +22,11 @@ from .encoder import (
     embed_backward,
     encode_backward,
     encode_forward,
-    init_encoder_params,
+    encoder_param_specs,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .head import BaselinePass, HeadPass, ModelConfig, make_head
-from .tensor import ParamStore, Rng
+from .tensor import Rng
 
 __all__ = ["ModelPass", "SequenceClassifier", "HeadOnlyClassifier"]
 
@@ -54,11 +54,10 @@ class SequenceClassifier:
         self.enc_cfg = enc_cfg
         self.cfg = cfg
         self.kind = kind
-        self.params = ParamStore()
         rng = rng if rng is not None else Rng(0)
-        if enc_cfg is not None:
-            init_encoder_params(enc_cfg, rng.child("encoder"), self.params)
-        self.head = make_head(kind, cfg, rng.child("head"), self.params)
+        encoder = () if enc_cfg is None else ((encoder_param_specs(enc_cfg), rng.child("encoder")),)
+        self.head = make_head(kind, cfg, rng.child("head"), encoder)
+        self.params = self.head.store
 
     def set_mode(self, train: bool) -> None:
         self.head.set_mode(train)
@@ -70,10 +69,15 @@ class SequenceClassifier:
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        param_names = set(self.params.names())
-        values = {k: v for k, v in tensors.items() if k in param_names}
-        self.params.load_values(values)
-        self.head.load_buffers(tensors)
+        """Overwrite parameters and buffers from ``tensors``; every name and
+        shape is checked before anything is written."""
+        buffers = self.head.buffers()
+        for name, arr in buffers.items():
+            if np.shape(tensors.get(name)) != arr.shape:
+                raise DimensionError(f"checkpoint buffer {name} is missing or not of shape {arr.shape}")
+        self.params.load_values({k: v for k, v in tensors.items() if k in self.params})
+        for name, arr in buffers.items():
+            arr[...] = tensors[name]
 
     def forward(self, inputs: np.ndarray, rng: Rng | None = None) -> ModelPass:
         if self.enc_cfg is None:

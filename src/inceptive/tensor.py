@@ -23,6 +23,7 @@ __all__ = [
     "Rng",
     "Param",
     "ParamStore",
+    "ParamSpec",
     "as_tensor",
     "BinaryReader",
     "finite_float32",
@@ -67,8 +68,8 @@ class Rng:
         """Derive an independent substream keyed by ``tags``."""
         return Rng(self.seed, self._path + tuple(_tag_to_int(t) for t in tags))
 
-    def random(self, shape=None) -> np.ndarray:
-        return self._gen.random(shape)
+    def random(self, shape=None, out: np.ndarray | None = None) -> np.ndarray:
+        return self._gen.random(shape, out=out)
 
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
@@ -97,54 +98,71 @@ class Param:
     grad: np.ndarray
 
 
+# A parameter declaration: name, shape, and Glorot fans ``(fan_in, fan_out)`` or a constant fill.
+ParamSpec = tuple[str, tuple[int, ...], tuple[int, int] | float]
+
+
 class ParamStore:
     """Ordered map from parameter path (e.g. ``head.dense.weight``) to
     a value/grad pair. Iteration order is insertion order and names are
     unique, so optimizer sweeps and serialization are deterministic.
 
-    On first use of :meth:`arena` (``init_adamw`` calls it) the store is
-    packed: every value and every gradient is copied, in insertion order,
-    into one flat float64 buffer each, and each :class:`Param` is rebound
-    to views of them. AdamW then sweeps the two buffers in blocks of
-    ``training._ADAMW_BLOCK`` elements instead of one pair per parameter;
-    per-parameter writes (gradient zeroing, clipping's scale, loading) go
-    through the views. A packed store is closed: :meth:`add` raises
-    ``ConfigError``. Eval-only runs never pack.
+    Values and gradients are views of one flat float64 buffer each
+    (:meth:`arena`), allocated once, by the first read, for the parameters
+    declared until then; a later :meth:`add` raises ``ConfigError``. AdamW
+    sweeps them in blocks of ``training._ADAMW_BLOCK`` elements; gradient
+    zeroing and clipping's scale are one op on the gradient buffer.
     """
 
-    def __init__(self):
+    def __init__(self, *groups: tuple[list[ParamSpec], Rng]):
+        """Declare each ``(specs, rng)`` group's parameters in order and, if
+        any, fill the store: each group draws its Glorot weights from its ``rng``."""
+        self._declared: dict[str, tuple] = {}  # name -> (shape, init, rng) until the first read
         self._entries: dict[str, Param] = {}
-        self._arena: tuple[np.ndarray, np.ndarray] | None = None
         self._slices: dict[str, slice] = {}
+        self._arena: tuple[np.ndarray, np.ndarray] | None = None
+        for specs, rng in groups:
+            for name, shape, init in specs:
+                self._declare(name, shape, init, rng)
+        if groups:
+            self.arena()
 
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
+    def add(self, name: str, value: np.ndarray) -> None:
+        """Record ``value``; the first read copies it into the store."""
+        value = as_tensor(value)
+        self._declare(name, value.shape, value, None)
+
+    def _declare(self, name: str, shape: tuple[int, ...], init, rng: Rng | None) -> None:
         if self._arena is not None:
             raise ConfigError(f"cannot add parameter {name}: the store is packed")
-        if name in self._entries:
+        if name in self._declared:
             raise ConfigError(f"duplicate parameter name: {name}")
-        value = as_tensor(value)
-        # np.zeros, unlike zeros_like, maps pages lazily: eval-only runs never make them resident
-        self._entries[name] = Param(value, np.zeros(value.shape))
-        return value
+        self._declared[name] = shape, init, rng
 
     def arena(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat value and gradient buffers, packing the store on first
-        call; :meth:`slice_of` gives each parameter's range in both."""
+        """The flat value and gradient buffers; :meth:`slice_of` gives each
+        parameter's range in both."""
         if self._arena is None:
+            total = sum(math.prod(shape) for shape, _, _ in self._declared.values())
+            # np.zeros maps pages lazily: eval-only runs never make the gradients resident
+            values, grads = np.empty(total), np.zeros(total)
             start = 0
-            for name, p in self._entries.items():
-                self._slices[name] = slice(start, start + p.value.size)
-                start += p.value.size
-            values, grads = np.empty(start), np.zeros(start)
-            for name, p in self._entries.items():
-                sl = self._slices[name]
-                values[sl] = p.value.ravel()
-                if p.grad.any():  # the arena starts at zero; untouched pages stay unmapped
-                    grads[sl] = p.grad.ravel()
-                p.value = values[sl].reshape(p.value.shape)
-                p.grad = grads[sl].reshape(p.grad.shape)
+            for name, (shape, init, rng) in self._declared.items():
+                sl = self._slices[name] = slice(start, start + math.prod(shape))
+                p = self._entries[name] = Param(values[sl].reshape(shape), grads[sl].reshape(shape))
+                if isinstance(init, tuple):
+                    glorot_uniform(rng, shape, *init, out=p.value)
+                else:
+                    p.value[...] = init
+                start = sl.stop
             self._arena = values, grads
+            self._declared.clear()
         return self._arena
+
+    @property
+    def _params(self) -> dict[str, Param]:
+        self.arena()
+        return self._entries
 
     def slice_of(self, name: str) -> slice:
         """The range of parameter ``name`` in the flat buffers of :meth:`arena`."""
@@ -152,56 +170,53 @@ class ParamStore:
         return self._slices[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._params
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, name: str) -> Param:
-        return self._entries[name]
+        return len(self._params)
 
     def value(self, name: str) -> np.ndarray:
-        return self._entries[name].value
+        return self._params[name].value
 
     def grad(self, name: str) -> np.ndarray:
-        return self._entries[name].grad
+        return self._params[name].grad
 
     def names(self) -> list[str]:
-        return list(self._entries)
+        return list(self._params)
 
     def items(self) -> Iterator[tuple[str, Param]]:
-        return iter(self._entries.items())
+        return iter(self._params.items())
 
     def zero_grads(self) -> None:
-        for p in self._entries.values():
-            p.grad[...] = 0.0
+        self.arena()[1].fill(0.0)
 
     def add_grad(self, name: str, g: np.ndarray) -> None:
-        self._entries[name].grad += g
+        self._params[name].grad += g
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place (through to the arena once
-        packed); names and shapes must match."""
-        missing = set(self._entries) - set(values)
-        extra = set(values) - set(self._entries)
+        """Overwrite parameter values in place; every name and shape is
+        checked before any value is written."""
+        entries = self._params
+        missing, extra = set(entries) - set(values), set(values) - set(entries)
         if missing or extra:
-            raise DimensionError(
-                f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
-        for name, arr in values.items():
-            p = self._entries[name]
-            arr = as_tensor(arr)
-            if arr.shape != p.value.shape:
-                raise DimensionError(
-                    f"shape mismatch for {name}: stored {arr.shape} vs expected {p.value.shape}"
-                )
-            p.value[...] = arr
+            raise DimensionError(f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        arrays = {name: as_tensor(arr) for name, arr in values.items()}
+        for name, arr in arrays.items():
+            if arr.shape != (want := entries[name].value.shape):
+                raise DimensionError(f"shape mismatch for {name}: stored {arr.shape} vs expected {want}")
+        for name, arr in arrays.items():
+            entries[name].value[...] = arr
 
 
-def glorot_uniform(rng: Rng, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(rng: Rng, shape, fan_in: int, fan_out: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)), drawn into ``out``
+    when given. Bitwise ``rng.uniform(-a, a, shape)``, which also forms
+    ``low + (high - low) * u`` from standard uniform draws ``u``."""
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, shape)
+    out = rng.random(shape, out=out)
+    out *= 2.0 * a  # high - low, exactly
+    out += -a
+    return out
 
 
 def clip_global_norm(params: ParamStore, max_norm: float) -> float:
@@ -225,9 +240,8 @@ def clip_global_norm(params: ParamStore, max_norm: float) -> float:
                 raise NumericError(f"non-finite gradient in {name}")
         raise NumericError("gradient norm overflows float64")
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, p in params.items():
-            p.grad *= scale
+        _, grads = params.arena()
+        grads *= max_norm / norm
     return norm
 
 

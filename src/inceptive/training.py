@@ -149,8 +149,8 @@ class AdamWState:
 
 
 def init_adamw(params: ParamStore) -> AdamWState:
-    """Zero moments for ``params``, packing the store. The flat buffers
-    come from ``np.zeros``, so their pages are mapped on the first step."""
+    """Zero moments for ``params``: the only buffers it allocates, from
+    ``np.zeros``, so their pages are mapped on the first step."""
     values, _ = params.arena()
     return AdamWState(np.zeros(values.size), np.zeros(values.size))
 
@@ -183,8 +183,7 @@ def adamw_step(params: ParamStore, state: AdamWState, lr: float, weight_decay: f
 
     Per element, with ``m_hat = m / (1 - b1^t)`` and ``v_hat = v / (1 - b2^t)``:
     ``value -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * value``.
-    ``init_adamw`` packed the store (which then refuses new parameters, see
-    :class:`ParamStore`), and the step sweeps its arena in blocks of
+    The step sweeps the store's arena (:class:`ParamStore`) in blocks of
     ``_ADAMW_BLOCK`` elements, in place on two block-sized scratch buffers,
     in the operation order of that formula; every operation is elementwise,
     so the result is bitwise the formula's. The decay term is added on the

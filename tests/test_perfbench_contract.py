@@ -25,6 +25,7 @@ from inceptive.tensor import Rng
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gates  # noqa: E402
 import measure  # noqa: E402
 import spans  # noqa: E402
 
@@ -118,6 +119,14 @@ def test_measure_setup_stops_at_first_forward(form):
     assert measure.measure_setup(call) >= 0.0
     assert reached == ["built"]
     assert [vars(cls)["forward"] for cls in classes] == originals
+
+
+def test_head_gradient_gate_passes():
+    """The gate builds its head through ``init_head_params(cfg, rng)``, then
+    calls ``zero_grads`` and ``grad_check``: the names the benchmark calls
+    outside a traced run, checked here without the slow self-test."""
+    name, passed, detail = gates.head_gradients()
+    assert name == "head_grad_check" and passed, detail
 
 
 @pytest.mark.slow

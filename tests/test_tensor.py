@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from inceptive.encoder import EncoderConfig
 from inceptive.errors import ConfigError, DimensionError, FormatError, NumericError
-from inceptive.head import ModelConfig
+from inceptive.head import KERNEL_SIZES, ModelConfig
 from inceptive.model import SequenceClassifier
 from inceptive import tensor
 from inceptive.tensor import (
@@ -18,7 +20,7 @@ from inceptive.tensor import (
     load_checkpoint,
     save_checkpoint,
 )
-from inceptive.training import init_adamw
+from inceptive.training import adamw_step, init_adamw
 
 
 class TestRng:
@@ -128,6 +130,138 @@ class TestParamArena:
         assert np.linalg.norm(grads) == pytest.approx(1.0)
 
 
+def _earlier_init(enc: EncoderConfig | None, cfg: ModelConfig, kind: str, rng: Rng) -> dict[str, np.ndarray]:
+    """Parameter values as the per-parameter initialisers drew them before the
+    store allocated its buffers up front: one ``rng.uniform(-a, a, shape)``
+    per weight, in declaration order, ones and zeros for the rest."""
+    out: dict[str, np.ndarray] = {}
+
+    def glorot(r, name, shape, fan_in, fan_out):
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        out[name] = r.uniform(-a, a, shape)
+
+    if enc is not None:
+        r, d, dh, f = rng.child("encoder"), enc.d, enc.head_dim, enc.ffn_size
+        glorot(r, "encoder.tok_embed", (enc.vocab_size, d), enc.vocab_size, d)
+        glorot(r, "encoder.pos_embed", (enc.max_len, d), enc.max_len, d)
+        for i in range(enc.n_layers):
+            b = f"encoder.block{i}."
+            out[b + "ln1.scale"], out[b + "ln1.shift"] = np.ones(d), np.zeros(d)
+            for name in ("attn.w_q", "attn.w_k", "attn.w_v"):
+                glorot(r, b + name, (enc.n_heads, d, dh), d, dh)
+            glorot(r, b + "attn.w_o", (enc.n_heads * dh, d), enc.n_heads * dh, d)
+            out[b + "ln2.scale"], out[b + "ln2.shift"] = np.ones(d), np.zeros(d)
+            glorot(r, b + "ffn.w1", (d, f), d, f)
+            out[b + "ffn.b1"] = np.zeros(f)
+            glorot(r, b + "ffn.w2", (f, d), f, d)
+            out[b + "ffn.b2"] = np.zeros(d)
+    r, n = rng.child("head"), cfg.n_classes
+    if kind == "baseline":
+        glorot(r, "head.cls.weight", (cfg.d, n), cfg.d, n)
+        out["head.cls.bias"] = np.zeros(n)
+        return out
+    for k in KERNEL_SIZES:
+        b = f"head.inception.branch_k{k}."
+        glorot(r, b + "weight", (cfg.c, k, cfg.d), k * cfg.d, k * cfg.c)
+        out[b + "bn.scale"], out[b + "bn.shift"] = np.ones(cfg.c), np.zeros(cfg.c)
+    if cfg.has_attention:
+        h, da = cfg.n_heads, cfg.resolved_head_dim
+        for name in ("attn.w_q", "attn.w_k", "attn.w_v"):
+            glorot(r, "head." + name, (h, cfg.d_r, da), cfg.d_r, da)
+        glorot(r, "head.attn.w_o", (h * da, cfg.d_r), h * da, cfg.d_r)
+    if cfg.has_dense:
+        m = cfg.dense_dim
+        glorot(r, "head.dense.weight", (cfg.d_r, m), cfg.d_r, m)
+        out["head.dense.bias"], out["head.dense.ln.scale"], out["head.dense.ln.shift"] = np.zeros(m), np.ones(m), np.zeros(m)
+    glorot(r, "head.classifier.weight", (cfg.classifier_in, n), cfg.classifier_in, n)
+    out["head.classifier.bias"] = np.zeros(n)
+    return out
+
+
+DESK_ENC = EncoderConfig(vocab_size=33, d=16, n_layers=2, n_heads=2, ffn_size=32, max_len=32)
+STORE_CASES = {
+    **{f"desk_{v}": (DESK_ENC, ModelConfig(d=16, c=16, dense_dim=8, n_classes=4, variant=v), "inceptive")
+       for v in ("full", "no_attn", "no_dense")},
+    "desk_baseline": (DESK_ENC, ModelConfig(d=16, c=16, dense_dim=8, n_classes=4), "baseline"),
+    "paper_head": (None, ModelConfig(d=768, c=32, n_heads=8, dense_dim=512, n_classes=4), "inceptive"),
+}
+
+
+class TestStoreBornPacked:
+    @pytest.mark.parametrize("case", sorted(STORE_CASES))
+    def test_values_are_bitwise_the_per_parameter_draws(self, case):
+        enc, cfg, kind = STORE_CASES[case]
+        store = SequenceClassifier(enc, cfg, kind, Rng(11)).params
+        want = _earlier_init(enc, cfg, kind, Rng(11))
+        assert store.names() == list(want)
+        values, grads = store.arena()
+        assert values.size == sum(v.size for v in want.values())
+        for name, p in store.items():
+            assert p.value.tobytes() == want[name].tobytes(), name
+            assert np.shares_memory(p.value, values) and np.shares_memory(p.grad, grads)
+        assert not grads.any()
+
+    def test_views_read_before_init_adamw_are_the_ones_adamw_steps(self):
+        cfg = ModelConfig(d=8, c=2, n_heads=2, head_dim=4, dense_dim=4, n_classes=3)
+        store = SequenceClassifier(None, cfg, "inceptive", Rng(3)).params
+        views = {name: (store.value(name), store.grad(name)) for name in store.names()}
+        before = {name: value.copy() for name, (value, _) in views.items()}
+        state = init_adamw(store)
+        for _, grad in views.values():
+            grad[...] = 0.25
+        adamw_step(store, state, 0.1, 0.0)
+        for name, (value, grad) in views.items():
+            assert value is store.value(name) and grad is store.grad(name)
+            assert not np.array_equal(value, before[name]), name
+
+    def test_init_adamw_allocates_only_the_moments(self):
+        cfg = ModelConfig(d=64, c=8, n_heads=2, dense_dim=32, n_classes=3)
+        store = SequenceClassifier(None, cfg, "inceptive", Rng(4)).params
+        tracemalloc.start()
+        try:
+            state = init_adamw(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = store.arena()[0].size
+        assert state.m_flat.size == state.v_flat.size == size
+        assert peak <= 2 * 8 * size + 4096
+
+    def test_add_copies_and_a_read_closes_the_store(self):
+        w = np.ones(3)
+        store = ParamStore()
+        store.add("w", w)
+        store.value("w")[0] = 5.0
+        assert w[0] == 1.0
+        with pytest.raises(ConfigError, match="packed"):
+            store.add("late", np.ones(2))
+
+    def test_failed_load_values_writes_nothing(self):
+        store = ParamStore()
+        store.add("a", np.zeros(2))
+        store.add("b", np.zeros(3))
+        with pytest.raises(DimensionError, match="shape mismatch for b"):
+            store.load_values({"a": np.ones(2), "b": np.ones(4)})
+        assert not store.arena()[0].any()
+
+    def test_failed_load_state_leaves_the_model_unchanged(self):
+        cfg = ModelConfig(d=8, c=2, n_heads=2, head_dim=4, dense_dim=4, n_classes=3)
+        model = SequenceClassifier(None, cfg, "inceptive", Rng(5))
+        before = model.state_tensors()
+        params_only = {name: value + 1.0 for name, value in before.items() if name in model.params}
+        with pytest.raises(DimensionError, match="buffer"):
+            model.load_state(params_only)
+        bad_buffer = {name: value + 1.0 for name, value in before.items()}
+        name = next(n for n in bad_buffer if n.endswith("running_var"))
+        bad_buffer[name] = np.ones(cfg.c + 1)
+        with pytest.raises(DimensionError, match=name):
+            model.load_state(bad_buffer)
+        after = model.state_tensors()
+        assert list(after) == list(before)
+        for name, value in before.items():
+            assert np.array_equal(after[name], value), name
+
+
 class TestInit:
     def test_glorot_bound(self):
         w = glorot_uniform(Rng(0), (200,), fan_in=3, fan_out=3)
@@ -144,6 +278,7 @@ class TestClipGlobalNorm:
         store = ParamStore()
         for i, g in enumerate(grads):
             store.add(f"p{i}", np.zeros_like(np.asarray(g, dtype=float)))
+        for i, g in enumerate(grads):
             store.grad(f"p{i}")[...] = g
         return store
 
