@@ -52,15 +52,13 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def build_vocab(records: list[dict], max_size: int | None = None) -> dict[str, int]:
+def build_vocab(records: list[dict]) -> dict[str, int]:
     """Token to id, most frequent first after the reserved entries; ties
     break alphabetically so the file is reproducible."""
     counts = Counter()
     for rec in records:
         counts.update(tokenize(rec["text"]))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if max_size is not None:
-        ordered = ordered[: max(0, max_size - len(RESERVED_TOKENS))]
     vocab = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
     for tok, _ in ordered:
         vocab[tok] = len(vocab)

@@ -6,8 +6,6 @@ ingested from an embedding file exported by any external model.
 
 from __future__ import annotations
 
-import mmap
-import os
 import struct
 from dataclasses import dataclass
 
@@ -26,7 +24,7 @@ from .layers import (
     relu,
     relu_backward,
 )
-from .tensor import BinaryReader, ParamSpec, ParamStore, Rng, finite_float32
+from .tensor import ParamSpec, ParamStore, Rng, finite_float32, mapped, write_replacing
 
 __all__ = [
     "EncoderConfig",
@@ -182,10 +180,9 @@ def encode_backward(cfg: EncoderConfig, params: ParamStore, cache: EncoderCache,
 # (u32 each for class indices, C x u8 each for multi-label rows), then
 # B*L*d finite little-endian float32 values in row-major order. B, L and d
 # are at least 1; a class index is below C and a multi-label byte is 0 or 1.
-# The payload is mapped read-only and stays float32 in memory; the head widens
-# it to float64 where it reads it. A mapped file must not be truncated or
-# rewritten in place while its arrays live (reading a lost page is SIGBUS), so
-# the writer replaces the file instead.
+# Like checkpoints, the file is mapped to be read and replaced to be written
+# (``tensor.mapped``, ``tensor.write_replacing``). The payload stays the
+# mapped float32 in memory; the head widens it to float64 where it reads it.
 
 _EMB_MAGIC = b"IEMB"
 _EMB_VERSION = 1
@@ -196,7 +193,8 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
     a 2-D 0/1 matrix is treated as multi-label rows. Nothing is written when a
     value is not a finite float32 (``NumericError``), an extent is 0
     (``DimensionError``), or a label is not an integer or lies outside the
-    label space (``LabelError``)."""
+    label space (``LabelError``). The file is replaced, never rewritten in
+    place, so arrays already loaded from ``path`` keep their values."""
     h = np.asarray(h)
     labels = np.asarray(labels)
     if h.ndim != 3 or 0 in h.shape:
@@ -213,37 +211,25 @@ def save_embeddings(path, h: np.ndarray, labels: np.ndarray, n_classes: int) -> 
         raise LabelError(f"labels must be integers in [0, {limit})")
     payload = finite_float32(h, "hidden state")
     header = struct.pack("<IIIIBI", _EMB_VERSION, b, length, d, 1 if multilabel else 0, n_classes)
-    # a sibling file renamed over the target: arrays mapped from the old file keep its bytes
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_EMB_MAGIC + header)
-            fh.write(labels.astype(np.uint8 if multilabel else "<u4").tobytes())
-            fh.write(payload.data)
-        os.replace(tmp, path)
-    finally:  # after a failed write or rename, leave no temporary behind
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    labels = labels.astype(np.uint8 if multilabel else "<u4")
+    write_replacing(path, (_EMB_MAGIC + header, labels.tobytes(), payload.data))
 
 
 def load_embeddings(path, n_classes: int | None = None, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse an embedding file; returns (hidden states, labels).
 
-    The hidden states are a read-only float32 view of the file, mapped with
-    ``mmap`` rather than read, so loading copies no payload (its pages are
-    the file's, shared with the page cache); they carry no gradient, entering
-    the pipeline as a frozen input. The payload is checked for finite values
-    in fixed-size chunks. A file that breaks the layout above, or whose d or
-    C differs from ``d`` or ``n_classes`` when given, raises
-    :class:`~inceptive.errors.FormatError` naming the file and the failing
-    byte offset; the header is checked before the payload is scanned. The
-    file must not be truncated or rewritten in place while the array lives.
+    The hidden states are a read-only float32 view of the file, mapped by
+    :func:`~inceptive.tensor.mapped` rather than read, so loading copies no
+    payload (its pages are the file's, shared with the page cache); they
+    carry no gradient, entering the pipeline as a frozen input. The payload
+    is checked for finite values in fixed-size chunks. A file that breaks the
+    layout above, or whose d or C differs from ``d`` or ``n_classes`` when
+    given, raises :class:`~inceptive.errors.FormatError` naming the file and
+    the failing byte offset; the header is checked before the payload is
+    scanned. The file must not be truncated or rewritten in place while the
+    array lives; :func:`save_embeddings` replaces it.
     """
-    with open(path, "rb") as fh:
-        # mmap refuses an empty file, which reads as an empty buffer: a bad magic
-        size = os.fstat(fh.fileno()).st_size
-        r = BinaryReader(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b"")
-    try:
+    with mapped(path) as r:
         r.magic(_EMB_MAGIC, "embedding-file")
         version, b, length, width, label_kind, classes = r.unpack("<IIIIBI", "embedding header")
         if version != _EMB_VERSION:
@@ -263,7 +249,4 @@ def load_embeddings(path, n_classes: int | None = None, d: int | None = None) ->
             raise FormatError(f"unknown label kind {label_kind}", 20)
         h = r.array("<f4", (b, length, width), "payload")
         r.end("embedding file")
-    except FormatError as exc:  # a run reads three splits: say which file is bad
-        exc.args = (f"{path}: {exc}",)
-        raise
     return h, labels

@@ -4,16 +4,20 @@ finite-difference harness used to validate every backward pass.
 Tensors are C-order ``numpy.ndarray`` values. Layers compute in the dtype
 they are given; float64 is fixed where values enter: parameters
 (:func:`as_tensor`), :func:`load_checkpoint`, the heads' input buffers and
-the losses' logits. This module enforces shape and finiteness contracts.
+the losses' logits. This module enforces shape and finiteness contracts, and
+maps to read and replaces to write both binary formats (checkpoints, ``IEMB``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import mmap
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +30,8 @@ __all__ = [
     "ParamSpec",
     "as_tensor",
     "BinaryReader",
+    "mapped",
+    "write_replacing",
     "finite_float32",
     "glorot_uniform",
     "clip_global_norm",
@@ -341,6 +347,37 @@ class BinaryReader:
             raise FormatError(f"{len(self.buf) - self.off} trailing bytes after {what}", self.off)
 
 
+@contextmanager
+def mapped(path) -> Iterator[BinaryReader]:
+    """A :class:`BinaryReader` over the file at ``path``, mapped read-only
+    rather than read, so arrays read from it are views of the file's pages.
+    A :class:`~inceptive.errors.FormatError` raised inside names the file."""
+    with open(path, "rb") as fh:
+        # mmap refuses an empty file, which reads as an empty buffer
+        size = os.fstat(fh.fileno()).st_size
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    try:
+        yield BinaryReader(buf)
+    except FormatError as exc:  # a run reads several files: say which is bad
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def write_replacing(path, parts: Iterable) -> None:
+    """Write the bytes-like ``parts`` to ``<path>.<pid>.tmp``, then rename it
+    over ``path``: arrays mapped from the old file keep its bytes, where a
+    rewrite in place would truncate them (reading a lost page is SIGBUS). Any
+    failure, also one raised by ``parts``, leaves ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 # --- tensor records ------------------------------------------------------------
 #
 # One record per checkpoint entry. Layout: magic "ITNS", u32 version (=1),
@@ -364,57 +401,58 @@ def finite_float32(arr: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def tensor_bytes(arr: np.ndarray, name: str) -> bytes:
-    arr = as_tensor(arr)
-    header = _MAGIC + struct.pack("<II", _VERSION, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    return header + finite_float32(arr, f"tensor {name}").tobytes(order="C")
-
-
 # --- checkpoints --------------------------------------------------------------
 #
 # A checkpoint is a name-index preamble followed by one tensor record per
 # name, in preamble order: u32 entry count, then per entry u16 name length +
 # UTF-8 name, then the tensor records. Model buffers (batch-norm running
 # statistics) are stored alongside trainable parameters so evaluation
-# behavior survives a round trip. Payloads are float32 on disk.
+# behavior survives a round trip. Names are distinct; payloads are float32 on
+# disk. Like an ``IEMB`` file, a checkpoint is mapped to be read and replaced
+# to be written.
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write ``tensors`` in dict order. A value that is not a finite float32
-    raises :class:`~inceptive.errors.NumericError` and nothing is written,
-    since :func:`load_checkpoint` would refuse the file."""
-    names = list(tensors)
-    blob = struct.pack("<I", len(names))
-    for name in names:
-        raw = name.encode("utf-8")
-        blob += struct.pack("<H", len(raw)) + raw
-    for name in names:
-        blob += tensor_bytes(tensors[name], name)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    """Write ``tensors`` in dict order, a record at a time, by :func:`write_replacing`.
+    A value that is not a finite float32 raises :class:`~inceptive.errors.NumericError`
+    and leaves ``path`` as it was, since :func:`load_checkpoint` would refuse it."""
+
+    def parts():
+        yield struct.pack("<I", len(tensors))
+        for name in tensors:
+            raw = name.encode("utf-8")
+            yield struct.pack("<H", len(raw)) + raw
+        for name, arr in tensors.items():
+            arr = as_tensor(arr)
+            yield _MAGIC + struct.pack(f"<II{arr.ndim}Q", _VERSION, arr.ndim, *arr.shape)
+            yield finite_float32(arr, f"tensor {name}").data
+
+    write_replacing(path, parts())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint as float64 arrays; a bad file raises
-    :class:`~inceptive.errors.FormatError` at the failing byte offset."""
-    with open(path, "rb") as fh:
-        r = BinaryReader(fh.read())
-    (count,) = r.unpack("<I", "checkpoint header")
-    names = []
-    for _ in range(count):
-        (nlen,) = r.unpack("<H", "name index")
-        try:
-            names.append(str(r.take(nlen, "name entry"), "utf-8"))
-        except UnicodeDecodeError as exc:  # at the first byte that is not UTF-8
-            raise FormatError("name is not UTF-8", r.off - nlen + exc.start) from None
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        r.magic(_MAGIC, "tensor")
-        version, rank = r.unpack("<II", "tensor header")
-        if version != _VERSION:
-            raise FormatError(f"unsupported tensor version {version}", r.off - 8)
-        shape = r.unpack(f"<{rank}Q", "extent list")
-        out[name] = r.array("<f4", shape, "payload").astype(np.float64)
-    r.end("checkpoint")
+    """Read a mapped checkpoint into float64 arrays that own their data. A bad
+    file, also one that repeats a name, raises
+    :class:`~inceptive.errors.FormatError` naming it and the failing byte offset."""
+    with mapped(path) as r:
+        (count,) = r.unpack("<I", "checkpoint header")
+        names: dict[str, None] = {}  # ordered, with a constant-time membership test
+        for _ in range(count):
+            (nlen,) = r.unpack("<H", "name index")
+            try:
+                name = str(r.take(nlen, "name entry"), "utf-8")
+            except UnicodeDecodeError as exc:  # at the first byte that is not UTF-8
+                raise FormatError("name is not UTF-8", r.off - nlen + exc.start) from None
+            if name in names:  # its record would silently replace the first one's
+                raise FormatError(f"repeated name {name!r} in name index", r.off - nlen)
+            names[name] = None
+        out: dict[str, np.ndarray] = {}
+        for name in names:
+            r.magic(_MAGIC, "tensor")
+            version, rank = r.unpack("<II", "tensor header")
+            if version != _VERSION:
+                raise FormatError(f"unsupported tensor version {version}", r.off - 8)
+            shape = r.unpack(f"<{rank}Q", "extent list")
+            out[name] = r.array("<f4", shape, "payload").astype(np.float64)
+        r.end("checkpoint")
     return out

@@ -394,6 +394,7 @@ class TestTensorIO:
         with pytest.raises(FormatError, match="bad tensor magic") as err:
             load_checkpoint(path)
         assert err.value.offset == at == 7
+        assert str(err.value) == f"{path}: bad tensor magic (byte offset 7)"
 
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -443,6 +444,73 @@ class TestTensorIO:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_repeated_name_rejected_at_its_entry(self, tmp_path):
+        """An index naming ``w`` twice would otherwise load the second record
+        under ``w`` and drop the first without a word."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones(2), "v": np.full(2, 5.0)})
+        blob = bytearray(path.read_bytes())
+        at = 4 + (2 + 1) + 2  # the second name's bytes
+        assert blob[at : at + 1] == b"v"
+        blob[at : at + 1] = b"w"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="repeated name 'w' in name index") as err:
+            load_checkpoint(path)
+        assert err.value.offset == at == 9
+
+    def test_empty_file_is_a_truncated_header_at_offset_zero(self, tmp_path):
+        """``mmap`` refuses a 0-byte file; the loader reads it as an empty buffer."""
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError, match="truncated checkpoint header") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 0
+
+    def test_failed_save_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"a": np.ones(3)})
+        before = path.read_bytes()
+        w = np.ones((2, 3))
+        w[0, 1] = np.nan
+        with pytest.raises(NumericError, match=r"tensor w \(0, 1\)"):
+            save_checkpoint(path, {"a": np.zeros(3), "w": w})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_save_writes_record_by_record(self, tmp_path):
+        """No copy of the whole file is formed: the traced peak of a 4 MB save
+        is one record's float32 copy plus the scan's fixed-size temporaries."""
+        tensors = {f"t{i}": Rng(i).normal(1 << 17) for i in range(8)}
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 4 * 8 << 17
+        assert peak < size / 2
+
+    def test_load_holds_only_the_float64_output(self, tmp_path):
+        """The file is mapped, not read: the traced peak is the returned
+        arrays, and none of them is a view of the map."""
+        tensors = {f"t{i}": Rng(i).normal((256, 512)) for i in range(8)}
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, tensors)
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(arr.nbytes for arr in back.values())
+        assert out_bytes == 8 * 8 * 256 * 512
+        assert peak <= out_bytes + (256 << 10)
+        for name, arr in back.items():
+            assert arr.flags.owndata and arr.dtype == np.float64
+            np.testing.assert_array_equal(arr, tensors[name].astype(np.float32))
 
 
 class TestChunkedScan:
