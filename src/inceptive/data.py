@@ -54,14 +54,15 @@ def tokenize(text: str) -> list[str]:
 
 def build_vocab(records: list[dict]) -> dict[str, int]:
     """Token to id, most frequent first after the reserved entries; ties
-    break alphabetically so the file is reproducible."""
+    break alphabetically so the file is reproducible. A text token spelled
+    like a reserved one keeps the reserved id."""
     counts = Counter()
     for rec in records:
         counts.update(tokenize(rec["text"]))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     vocab = {tok: i for i, tok in enumerate(RESERVED_TOKENS)}
     for tok, _ in ordered:
-        vocab[tok] = len(vocab)
+        vocab.setdefault(tok, len(vocab))
     return vocab
 
 

@@ -330,12 +330,13 @@ def adaptive_avg_pool(a: np.ndarray) -> np.ndarray:
 class HeadPass:
     """Everything the backward pass needs, plus the staged outputs that
     shape probes and splice tests inspect. ``h`` is the input as given;
-    ``h_dropped`` and ``c_map`` are the two column blocks of ``r``."""
+    ``h_dropped`` and ``c_map`` are the two column blocks of ``r``. An
+    eval-mode pass keeps no batch-norm cache (``inception`` is None)."""
 
     h: np.ndarray
     mask: np.ndarray
     h_dropped: np.ndarray
-    inception: tuple[np.ndarray, np.ndarray]  # the batch norm's cache
+    inception: tuple[np.ndarray, np.ndarray] | None  # the batch norm's cache, train mode only
     c_map: np.ndarray
     r: np.ndarray
     mha: MhaMeanCache | None
@@ -363,9 +364,10 @@ def head_forward(
     r = np.empty(h.shape[:2] + (cfg.d_r,), dtype=np.float64)
     h_dropped, mask = dropout(state.dropout, h, rng, out=r[..., : cfg.d])
     c_map, bn_cache = inception_forward(cfg, store, state, h_dropped, out=r[..., cfg.d :])
+    train = state.bn.mode == "train"
     if cfg.has_attention:
         # attention then mean pool, without the per-position attention output
-        pooled, mha_cache = mha_mean_forward(MhaParams.read(store, "head.attn."), r)
+        pooled, mha_cache = mha_mean_forward(MhaParams.read(store, "head.attn."), r, train)
     else:
         mha_cache = None
         pooled = adaptive_avg_pool(r)
@@ -379,6 +381,7 @@ def head_forward(
         dense_act, dense_ln, dense_out = None, None, None
         cls_in = pooled
     logits = linear(store.value("head.classifier.weight"), store.value("head.classifier.bias"), cls_in)
+    bn_cache = bn_cache if train else None
     return HeadPass(
         h, mask, h_dropped, bn_cache, c_map, r, mha_cache, pooled, dense_act, dense_ln, dense_out, logits
     )
@@ -414,7 +417,10 @@ def head_backward(
     The parameter gradients are the same either way. They are bitwise the
     same where BLAS rounds the narrower attention product's columns as it
     rounds them in the full-width one; at the desk and paper shapes it does.
+    An eval-mode pass raises ``ConfigError``.
     """
+    if hp.inception is None:
+        raise ConfigError("an eval-mode pass keeps no backward state; run the forward in train mode")
     if cfg.has_dense:
         dcls_in, dwc, dbc = linear_backward(store.value("head.classifier.weight"), hp.dense_out, dlogits)
         ddense_act, dg, dbln = layer_norm_backward(store.value("head.dense.ln.scale"), hp.dense_ln, dcls_in)

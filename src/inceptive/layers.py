@@ -15,7 +15,8 @@ norm's forward statistics stay numpy reductions, see
 :func:`mha_mean_backward`: when a batch spans more than one chunk of at
 most ``_SCORE_CHUNK`` score elements (at least one example), its cache
 keeps no ``(B, h, L, L)`` weight rows, so it recomputes them from the
-cached queries and keys, one chunk at a time.
+cached queries and keys, one chunk at a time. Its forward projects those
+by one GEMM against the stacked ``[w_q; w_k]``, per chunk in eval mode.
 Each pair is checkable with :func:`inceptive.tensor.grad_check`.
 
 Every function computes in the dtype it is given, its buffers included;
@@ -540,21 +541,25 @@ def _example_chunks(b: int, h: int, length: int) -> list[slice]:
 
 @dataclass
 class MhaMeanCache:
-    """The pooled attention's cache. When the batch spans more than one
-    chunk of examples (:meth:`chunks`) it holds no ``(B, h, L, L)`` weight
-    rows: :meth:`weight_rows` recomputes them from ``q`` and ``k``, one
-    chunk at a time. A one-chunk batch keeps its rows (``rows``), which
-    are then no larger than one chunk."""
+    """The pooled attention's cache. ``q`` and ``k`` are ``(B, h, L, d_head)``
+    views of the halves of one ``(B, L, 2h, d_head)`` buffer. Over more than
+    one chunk of examples (:meth:`chunks`) it holds no ``(B, h, L, L)``
+    weight rows: :meth:`weight_rows` recomputes them a chunk at a time. A
+    one-chunk train batch keeps its ``rows``. An eval-mode cache keeps no
+    rows, nor ``q`` and ``k`` over several chunks (:func:`mha_mean_backward`
+    refuses it then). A one-chunk eval batch keeps them: freeing that buffer
+    after every forward made glibc trim the heap top and fault it back in
+    (672 page faults per eval forward at the desk shape, against 0)."""
 
     x: np.ndarray
-    q: np.ndarray
-    k: np.ndarray
     colsum: np.ndarray  # (B, h, L), weight-row column sums
     merged_mean: np.ndarray  # (B, h * d_head), L-mean of the merged heads
+    q: np.ndarray | None = None  # None in an eval-mode cache over several chunks, as is k
+    k: np.ndarray | None = None
     rows: np.ndarray | None = None  # (B, h, L, L), kept for a one-chunk batch only
 
     def chunks(self) -> list[slice]:
-        return _example_chunks(*self.q.shape[:3])
+        return _example_chunks(*self.colsum.shape)
 
     def weight_rows(self, s: slice) -> np.ndarray:
         """The weight rows of examples ``s``, bitwise the forward's."""
@@ -563,7 +568,14 @@ class MhaMeanCache:
         return _attention_weights(self.q[s], self.k[s])
 
 
-def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaMeanCache]:
+def _split_qk(qk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(B, L, 2h, d_head)`` query-key buffer as its ``(B, h, L, d_head)``
+    query and key views."""
+    h = qk.shape[2] // 2
+    return qk[:, :, :h].transpose(0, 2, 1, 3), qk[:, :, h:].transpose(0, 2, 1, 3)
+
+
+def mha_mean_forward(params: MhaParams, x: np.ndarray, train: bool = True) -> tuple[np.ndarray, MhaMeanCache]:
     """``mha_forward(params, x)[0].mean(axis=1)``, without the per-position
     output.
 
@@ -571,30 +583,37 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray) -> tuple[np.ndarray, MhaM
     ``(sum_j (colsum_j / L) x_j) W_v``, with ``colsum`` the column sums of
     the weight rows. So the values, the attended rows and the full-size
     output projection are never formed: each head's value projection and
-    the output projection act on one ``(B, .)`` row per example. The weight
-    rows are formed one chunk of examples at a time, bitwise those of
-    :func:`mha_forward`, and only their column sums are kept, unless the
-    whole batch is one chunk.
+    the output projection act on one ``(B, .)`` row per example. Queries
+    and keys come from one GEMM against the stacked ``[w_q; w_k]``, bitwise
+    :func:`mha_forward`'s: with ``train`` over the whole batch, into the
+    cached buffer; without, per chunk, into one chunk-sized buffer. The
+    weight rows are formed one chunk of examples at a time and only their
+    column sums are kept (and the rows of a one-chunk train batch).
     """
     h, d_in, d_head = params.w_q.shape
     if x.shape[-1] != d_in:
         raise DimensionError(f"attention input dim {x.shape[-1]} vs projections {params.w_q.shape}")
     b, length, _ = x.shape
-    x2 = x.reshape(b * length, d_in)
-    q = _project_heads(x2, params.w_q, b, length)
-    k = _project_heads(x2, params.w_k, b, length)
-    colsum = np.empty((b, h, length), dtype=q.dtype)
+    w_qk = np.concatenate([w.transpose(1, 0, 2) for w in (params.w_q, params.w_k)], axis=1).reshape(d_in, -1)
     chunks = _example_chunks(b, h, length)
+    qk = np.empty((b if train else min(b, chunks[0].stop), length, 2 * h, d_head), dtype=np.result_type(x, w_qk))
+    if train:  # every chunk is kept, and one GEMM over the batch is faster than one per chunk
+        np.matmul(x.reshape(-1, d_in), w_qk, out=qk.reshape(b * length, -1))
+    colsum = np.empty((b, h, length), dtype=qk.dtype)
     rows = None
     for s in chunks:
-        weights = _attention_weights(q[s], k[s])
+        dst = qk[s] if train else qk[: len(x[s])]
+        if not train:
+            np.matmul(x[s].reshape(-1, d_in), w_qk, out=dst.reshape(-1, 2 * h * d_head))
+        weights = _attention_weights(*_split_qk(dst))
         colsum[s] = weights.sum(axis=2)
-        if len(chunks) == 1:
+        if train and len(chunks) == 1:
             rows = weights
         del weights  # one chunk's rows alive at a time
     xbar = (colsum / length) @ x  # (B, h, d_in)
     merged_mean = (xbar.transpose(1, 0, 2) @ params.w_v).transpose(1, 0, 2).reshape(b, h * d_head)
-    return merged_mean @ params.w_o, MhaMeanCache(x, q, k, colsum, merged_mean, rows)
+    q, k = _split_qk(qk) if train or len(chunks) == 1 else (None, None)
+    return merged_mean @ params.w_o, MhaMeanCache(x, colsum, merged_mean, q, k, rows)
 
 
 def mha_mean_backward(
@@ -614,15 +633,17 @@ def mha_mean_backward(
     one chunk (whose rows the cache keeps), the weight rows are recomputed
     per chunk of examples from the cached ``q`` and ``k``, and each
     chunk's score gradient is formed and consumed before the next
-    chunk's rows exist. The query and key gradients are written straight
-    into ``(B, L, h, d_head)`` buffers, which the projection adjoints read
-    as flat matrices.
+    chunk's rows exist. The query and key gradients go into one
+    ``(B, L, 2h, d_head)`` buffer, so one GEMM gives both weight gradients;
+    the input gradient stays two products (one rounds differently).
 
     Only input columns ``dx_start:`` get a gradient: the returned ``dx`` is
     ``B x L x (d_in - dx_start)``, and only those rows of each projection
     enter its input-gradient product. The parameter gradients do not depend
     on ``dx_start``.
     """
+    if cache.q is None:
+        raise ConfigError("an eval-mode attention pass keeps no queries or keys to differentiate")
     h, d_in, d_head = params.w_q.shape
     b, length, _ = cache.x.shape
     colsum = cache.colsum
@@ -635,24 +656,25 @@ def mha_mean_backward(
     u = wg @ cache.x.swapaxes(1, 2)  # (B, h, L)
     if not 0 <= dx_start < d_in:
         raise DimensionError(f"dx_start must be in [0, {d_in}), got {dx_start}")
-    dq = np.empty((b, length, h, d_head), dtype=cache.k.dtype)
-    dk = np.empty((b, length, h, d_head), dtype=cache.q.dtype)
+    dqk = np.empty((b, length, 2 * h, d_head), dtype=cache.q.dtype)
+    dq, dk = _split_qk(dqk)
     for s in cache.chunks():
         weights = cache.weight_rows(s)
         dscores = u[s, :, None, :] - (weights @ u[s, :, :, None])
         dscores *= weights
         del weights  # one chunk's rows alive at a time
         dscores /= np.sqrt(d_head)
-        np.matmul(dscores, cache.k[s], out=dq[s].transpose(0, 2, 1, 3))
-        np.matmul(dscores.swapaxes(-1, -2), cache.q[s], out=dk[s].transpose(0, 2, 1, 3))
+        np.matmul(dscores, cache.k[s], out=dq[s])
+        np.matmul(dscores.swapaxes(-1, -2), cache.q[s], out=dk[s])
         del dscores
     x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros((b * length, d_in - dx_start), dtype=x2.dtype)
-    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2, dx_start)
-    del dq
-    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2, dx_start)
-    del dk
+    for w, heads in ((params.w_q, slice(None, h)), (params.w_k, slice(h, None))):
+        w_in = w[:, dx_start:, :].transpose(1, 0, 2).reshape(d_in - dx_start, h * d_head)
+        dx2 += dqk[:, :, heads].reshape(b * length, h * d_head) @ w_in.T
+    dw_qk = (x2.T @ dqk.reshape(b * length, 2 * h * d_head)).reshape(d_in, 2 * h, d_head).transpose(1, 0, 2)
+    del dqk, dq, dk
     dx = dx2.reshape(b, length, d_in - dx_start)
     dx += colsum.swapaxes(1, 2) @ wg[..., dx_start:]
     dw_v = (colsum @ cache.x).transpose(1, 2, 0) @ g_heads
-    return dx, MhaParams(dw_q, dw_k, dw_v, dw_o)
+    return dx, MhaParams(dw_qk[:h], dw_qk[h:], dw_v, dw_o)

@@ -37,6 +37,13 @@ class TestVocab:
         save_vocab(path, vocab)
         assert load_vocab(path) == vocab
 
+    def test_reserved_spelling_in_text_keeps_its_id(self, tmp_path):
+        vocab = build_vocab([{"text": "a <unk> b <pad> <cls> <unk>"}])
+        assert vocab == {"<pad>": PAD_ID, "<unk>": UNK_ID, "<cls>": CLS_ID, "a": 3, "b": 4}
+        path = tmp_path / "vocab.json"
+        save_vocab(path, vocab)
+        assert load_vocab(path) == vocab
+
 
 class TestDatasetFiles:
     def test_jsonl_round_trip_identity(self, tmp_path):

@@ -539,7 +539,9 @@ class TestChunkedWeightRows:
             out.update((f"{n}_{start}", getattr(grads, n)) for n in ("w_q", "w_k", "w_v", "w_o"))
         out["pooled"], out["colsum"] = hp.pooled, hp.mha.colsum
         state.set_mode(False)
-        out["received"] = state.received(state.forward(h))
+        eval_hp = state.forward(h)
+        out["eval_logits"], out["eval_colsum"] = eval_hp.logits, eval_hp.mha.colsum
+        out["received"] = state.received(eval_hp)
         sizes = [len(range(self.B)[s]) for s in hp.mha.chunks()]
         return sizes, out
 
@@ -552,6 +554,21 @@ class TestChunkedWeightRows:
             assert got.keys() == whole.keys()
             for name, value in whole.items():
                 assert np.array_equal(got[name], value), (per_chunk, name)
+
+    @pytest.mark.parametrize("variant", ["full", "no_dense"])
+    def test_eval_pass_keeps_no_backward_state(self, monkeypatch, variant):
+        """No batch-norm cache and no weight rows; queries and keys only
+        for a one-chunk batch, whose chunk buffer they are. Backward is
+        refused either way."""
+        for per_chunk, one_chunk in ((4, False), (self.B, True)):
+            monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", per_chunk * TOY["n_heads"] * self.L**2)
+            cfg, _, state = build(variant)
+            state.set_mode(False)
+            hp = state.forward(Rng(1).normal((self.B, self.L, cfg.d)))
+            assert hp.inception is None and hp.mha.rows is None
+            assert (hp.mha.q is not None) == (hp.mha.k is not None) == one_chunk
+            with pytest.raises(ConfigError):
+                state.backward(hp, np.ones_like(hp.logits))
 
     def test_only_a_one_chunk_batch_keeps_its_rows(self, monkeypatch):
         for per_chunk, kept in ((self.B, True), (4, False)):

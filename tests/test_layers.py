@@ -3,6 +3,10 @@ import pytest
 
 from inceptive.errors import ConfigError, DegenerateBatchError, DimensionError
 from inceptive.layers import (
+    _attention_weights,
+    _example_chunks,
+    _project_heads,
+    _project_heads_backward,
     BatchNormState,
     DropoutSpec,
     MhaParams,
@@ -723,6 +727,81 @@ class TestMhaMeanBackward:
         store.grad("wo")[...] = grads.w_o
         store.grad("x")[...] = dx
         assert grad_check(f, store, 1e-5) < 1e-5
+
+
+def _mha_mean_backward_per_weight(params, q, k, x, colsum, dpooled, dx_start):
+    """The pooled attention's adjoint in its earlier form: separate
+    ``(B, L, h, d_head)`` query and key gradients, each weight's input and
+    parameter gradients from its own :func:`_project_heads_backward`."""
+    h, d_in, d_head = params.w_q.shape
+    b, length, _ = x.shape
+    g_heads = (dpooled @ params.w_o.T / length).reshape(b, h, d_head).transpose(1, 0, 2)
+    wg = (g_heads @ params.w_v.transpose(0, 2, 1)).swapaxes(0, 1)
+    u = wg @ x.swapaxes(1, 2)
+    dq, dk = np.empty((b, length, h, d_head)), np.empty((b, length, h, d_head))
+    for s in _example_chunks(b, h, length):
+        weights = _attention_weights(q[s], k[s])
+        dscores = u[s, :, None, :] - (weights @ u[s, :, :, None])
+        dscores *= weights
+        dscores /= np.sqrt(d_head)
+        np.matmul(dscores, k[s], out=dq[s].transpose(0, 2, 1, 3))
+        np.matmul(dscores.swapaxes(-1, -2), q[s], out=dk[s].transpose(0, 2, 1, 3))
+    x2 = x.reshape(b * length, d_in)
+    dx2 = np.zeros((b * length, d_in - dx_start))
+    dw_q = _project_heads_backward(x2, params.w_q, dq, dx2, dx_start)
+    dw_k = _project_heads_backward(x2, params.w_k, dk, dx2, dx_start)
+    dx = dx2.reshape(b, length, d_in - dx_start)
+    dx += colsum.swapaxes(1, 2) @ wg[..., dx_start:]
+    return dx, dw_q, dw_k
+
+
+class TestStackedProjectionOracle:
+    """The pooled attention's stacked ``[w_q; w_k]`` projection, one chunk
+    of examples at a time, and its one-GEMM weight gradients are bitwise
+    the per-weight :func:`_project_heads` and :func:`_project_heads_backward`
+    forms."""
+
+    # (B, L, d, c, h, d_head), d_in = d + 4c: the desk shape (one chunk), the
+    # paper shape (8 chunks of 4) and the head tests' shape (chunks of 4, 4, 1)
+    @pytest.mark.parametrize(
+        "shape,per_chunk", [((32, 32, 16, 16, 2, 40), None), ((32, 128, 768, 32, 8, 112), None), ((9, 6, 16, 4, 2, 8), 4)]
+    )
+    def test_bitwise_the_per_weight_projections(self, monkeypatch, shape, per_chunk):
+        import inceptive.layers
+
+        b, length, d, c, h, d_head = shape
+        if per_chunk is not None:
+            monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", per_chunk * h * length * length)
+        rng = Rng(320)
+        params, x = _mha_case(rng, b, length, d + 4 * c, h, d_head)
+        for w in (params.w_q, params.w_k, params.w_v, params.w_o):
+            w *= 0.05  # keep the scores in softmax range at the paper width
+        x2 = x.reshape(b * length, -1)
+        q, k = _project_heads(x2, params.w_q, b, length), _project_heads(x2, params.w_k, b, length)
+        pooled, cache = mha_mean_forward(params, x)
+        assert np.array_equal(cache.q, q) and np.array_equal(cache.k, k)
+        colsum = np.concatenate([_attention_weights(q[s], k[s]).sum(axis=2) for s in cache.chunks()])
+        assert np.array_equal(cache.colsum, colsum)
+        eval_pooled, eval_cache = mha_mean_forward(params, x, train=False)
+        assert np.array_equal(eval_pooled, pooled) and np.array_equal(eval_cache.colsum, colsum)
+        del eval_cache
+        dpooled = rng.normal(pooled.shape)
+        for dx_start in (0, d):
+            dx, grads = mha_mean_backward(params, cache, dpooled, dx_start)
+            want = _mha_mean_backward_per_weight(params, q, k, x, colsum, dpooled, dx_start)
+            for got, ref in zip((dx, grads.w_q, grads.w_k), want):
+                assert np.array_equal(got, ref)
+
+    def test_multi_chunk_eval_cache_keeps_no_queries_keys_or_rows(self, monkeypatch):
+        import inceptive.layers
+
+        b, length, h = 3, 5, 2
+        monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", h * length * length)
+        params, x = _mha_case(Rng(321), b, length, 6, h, 3)
+        _, cache = mha_mean_forward(params, x, train=False)
+        assert cache.q is None and cache.k is None and cache.rows is None
+        with pytest.raises(ConfigError):
+            mha_mean_backward(params, cache, np.ones((b, 6)))
 
 
 class TestFloat32Inputs:

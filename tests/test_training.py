@@ -10,7 +10,7 @@ from inceptive.errors import ConfigError, DegenerateBatchError, InputError, Labe
 from inceptive.head import ModelConfig
 from inceptive.model import HeadOnlyClassifier, SequenceClassifier
 from inceptive.tensor import ParamStore, Rng, clip_global_norm, grad_check
-from inceptive import training
+from inceptive import layers, training
 from inceptive.training import (
     TrainConfig,
     adamw_step,
@@ -549,6 +549,48 @@ class TestFrozenFloat32Inputs:
         finally:
             tracemalloc.stop()
         assert peak <= 28 * unit, peak / unit
+
+
+class TestEpochPeakMemory:
+    """Traced peaks of whole epochs: each loop holds one batch's pass while
+    the next batch's forward runs."""
+
+    @staticmethod
+    def _epoch_peak(monkeypatch, name):
+        """Traced peak of one ``train_epoch`` or ``evaluate`` over 3 batches
+        of B=16, L=64, d=96, c=8, h=4, in (B, L, d_r) float64 units. Weight
+        rows come 2 examples per chunk, 8 chunks per batch."""
+        cfg = ModelConfig(d=96, c=8, n_heads=4, dense_dim=32, n_classes=3, dropout_rate=0.1)
+        b, length = 16, 64
+        monkeypatch.setattr(layers, "_SCORE_CHUNK", 2 * cfg.n_heads * length * length)
+        model = HeadOnlyClassifier(cfg, "inceptive", Rng(0))
+        data = (Rng(1).normal((3 * b, length, cfg.d)), np.arange(3 * b) % 3)
+        tcfg = TrainConfig(seq_len=length, batch_size=b)
+        opt = init_adamw(model.params)
+        tracemalloc.start()
+        try:
+            if name == "train_epoch":
+                train_epoch(model, data, tcfg, opt, 0, 1e-3, Rng(2))
+            else:
+                evaluate(model, data, tcfg)
+            return tracemalloc.get_traced_memory()[1] / (b * length * cfg.d_r * 8)
+        finally:
+            tracemalloc.stop()
+
+    def test_evaluate_peak_memory(self, monkeypatch):
+        """An eval-mode pass keeps no backward state and forms its queries
+        and keys one chunk at a time: 3.18 units. Full queries and keys and
+        the batch-norm cache, kept until the next batch's forward, read
+        6.93. The bound leaves 25% of headroom."""
+        peak = self._epoch_peak(monkeypatch, "evaluate")
+        assert peak <= 4.0, peak
+
+    def test_train_epoch_peak_memory(self, monkeypatch):
+        """A train pass keeps its whole query-key buffer: 8.88 units (8.63
+        while each weight gradient had its own GEMM). The bound leaves 10%
+        of headroom."""
+        peak = self._epoch_peak(monkeypatch, "train_epoch")
+        assert peak <= 9.75, peak
 
 
 class TestZeroVarianceBatch:
