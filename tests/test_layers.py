@@ -785,6 +785,10 @@ class TestStackedProjectionOracle:
         eval_pooled, eval_cache = mha_mean_forward(params, x, train=False)
         assert np.array_equal(eval_pooled, pooled) and np.array_equal(eval_cache.colsum, colsum)
         del eval_cache
+        for s in cache.chunks():  # a one-chunk eval batch keeps its per-chunk projection
+            _, chunk_cache = mha_mean_forward(params, x[s], train=False)
+            assert np.array_equal(chunk_cache.q, q[s]) and np.array_equal(chunk_cache.k, k[s])
+        del chunk_cache
         dpooled = rng.normal(pooled.shape)
         for dx_start in (0, d):
             dx, grads = mha_mean_backward(params, cache, dpooled, dx_start)
