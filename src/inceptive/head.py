@@ -417,10 +417,14 @@ def head_backward(
     The parameter gradients are the same either way. They are bitwise the
     same where BLAS rounds the narrower attention product's columns as it
     rounds them in the full-width one; at the desk and paper shapes it does.
-    An eval-mode pass raises ``ConfigError``.
+    An eval-mode pass raises ``ConfigError``. So does a second backward of
+    a train pass with attention, before it adds any gradient: the first
+    overwrote the pass's queries and keys with their gradients.
     """
     if hp.inception is None:
         raise ConfigError("an eval-mode pass keeps no backward state; run the forward in train mode")
+    if hp.mha is not None and hp.mha.spent:
+        raise ConfigError("this pass was differentiated already; run the forward again to differentiate it")
     if cfg.has_dense:
         dcls_in, dwc, dbc = linear_backward(store.value("head.classifier.weight"), hp.dense_out, dlogits)
         ddense_act, dg, dbln = layer_norm_backward(store.value("head.dense.ln.scale"), hp.dense_ln, dcls_in)

@@ -17,6 +17,8 @@ most ``_SCORE_CHUNK`` score elements (at least one example), its cache
 keeps no ``(B, h, L, L)`` weight rows, so it recomputes them from the
 cached queries and keys, one chunk at a time. Its forward projects those
 by one GEMM against the stacked ``[w_q; w_k]``, per chunk in eval mode.
+It also overwrites its cache, the queries and keys with their gradients,
+so a pooled-attention cache can be differentiated once.
 Each pair is checkable with :func:`inceptive.tensor.grad_check`.
 
 Every function computes in the dtype it is given, its buffers included;
@@ -541,22 +543,27 @@ def _example_chunks(b: int, h: int, length: int) -> list[slice]:
 
 @dataclass
 class MhaMeanCache:
-    """The pooled attention's cache. ``q`` and ``k`` are ``(B, h, L, d_head)``
-    views of the halves of one ``(B, L, 2h, d_head)`` buffer. Over more than
-    one chunk of examples (:meth:`chunks`) it holds no ``(B, h, L, L)``
-    weight rows: :meth:`weight_rows` recomputes them a chunk at a time. A
-    one-chunk train batch keeps its ``rows``. An eval-mode cache keeps no
-    rows, nor ``q`` and ``k`` over several chunks (:func:`mha_mean_backward`
-    refuses it then). A one-chunk eval batch keeps them: freeing that buffer
-    after every forward made glibc trim the heap top and fault it back in
-    (672 page faults per eval forward at the desk shape, against 0)."""
+    """The pooled attention's cache. ``qk`` is one ``(B, L, 2h, d_head)``
+    buffer of queries then keys; :attr:`q` and :attr:`k` are its halves as
+    ``(B, h, L, d_head)`` views. Over more than one chunk of examples
+    (:meth:`chunks`) it holds no ``(B, h, L, L)`` weight rows:
+    :meth:`weight_rows` recomputes them a chunk at a time. A one-chunk train
+    batch keeps its ``rows``. An eval-mode cache keeps no rows, nor ``qk``
+    over several chunks (:func:`mha_mean_backward` refuses it then). A
+    one-chunk eval batch keeps it: freeing that buffer after every forward
+    made glibc trim the heap top and fault it back in (672 page faults per
+    eval forward at the desk shape, against 0). :func:`mha_mean_backward`
+    overwrites ``qk`` with its own gradient, then drops it."""
 
     x: np.ndarray
     colsum: np.ndarray  # (B, h, L), weight-row column sums
     merged_mean: np.ndarray  # (B, h * d_head), L-mean of the merged heads
-    q: np.ndarray | None = None  # None in an eval-mode cache over several chunks, as is k
-    k: np.ndarray | None = None
+    qk: np.ndarray | None = None  # None in an eval-mode cache over several chunks, and once differentiated
     rows: np.ndarray | None = None  # (B, h, L, L), kept for a one-chunk batch only
+    spent: bool = False  # set by mha_mean_backward
+
+    q = property(lambda self: None if self.qk is None else _split_qk(self.qk)[0])
+    k = property(lambda self: None if self.qk is None else _split_qk(self.qk)[1])
 
     def chunks(self) -> list[slice]:
         return _example_chunks(*self.colsum.shape)
@@ -565,7 +572,7 @@ class MhaMeanCache:
         """The weight rows of examples ``s``, bitwise the forward's."""
         if self.rows is not None:
             return self.rows[s]
-        return _attention_weights(self.q[s], self.k[s])
+        return _attention_weights(*_split_qk(self.qk[s]))
 
 
 def _split_qk(qk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -612,8 +619,8 @@ def mha_mean_forward(params: MhaParams, x: np.ndarray, train: bool = True) -> tu
         del weights  # one chunk's rows alive at a time
     xbar = (colsum / length) @ x  # (B, h, d_in)
     merged_mean = (xbar.transpose(1, 0, 2) @ params.w_v).transpose(1, 0, 2).reshape(b, h * d_head)
-    q, k = _split_qk(qk) if train or len(chunks) == 1 else (None, None)
-    return merged_mean @ params.w_o, MhaMeanCache(x, colsum, merged_mean, q, k, rows)
+    kept = qk if train or len(chunks) == 1 else None
+    return merged_mean @ params.w_o, MhaMeanCache(x, colsum, merged_mean, kept, rows)
 
 
 def mha_mean_backward(
@@ -633,16 +640,22 @@ def mha_mean_backward(
     one chunk (whose rows the cache keeps), the weight rows are recomputed
     per chunk of examples from the cached ``q`` and ``k``, and each
     chunk's score gradient is formed and consumed before the next
-    chunk's rows exist. The query and key gradients go into one
-    ``(B, L, 2h, d_head)`` buffer, so one GEMM gives both weight gradients;
-    the input gradient stays two products (one rounds differently).
+    chunk's rows exist. It consumes its cache: each chunk's query and key
+    gradients overwrite that chunk's queries and keys in the cache's
+    ``(B, L, 2h, d_head)`` buffer (the key gradient via a chunk-sized
+    temporary), so no second buffer of that size exists. One GEMM on it
+    gives both weight gradients; the input gradient stays two products
+    (one rounds differently). The cache then drops the buffer, and a
+    second backward on it raises ``ConfigError``.
 
     Only input columns ``dx_start:`` get a gradient: the returned ``dx`` is
     ``B x L x (d_in - dx_start)``, and only those rows of each projection
     enter its input-gradient product. The parameter gradients do not depend
     on ``dx_start``.
     """
-    if cache.q is None:
+    if cache.spent:
+        raise ConfigError("this attention pass was differentiated already: its queries and keys are spent")
+    if cache.qk is None:
         raise ConfigError("an eval-mode attention pass keeps no queries or keys to differentiate")
     h, d_in, d_head = params.w_q.shape
     b, length, _ = cache.x.shape
@@ -656,24 +669,26 @@ def mha_mean_backward(
     u = wg @ cache.x.swapaxes(1, 2)  # (B, h, L)
     if not 0 <= dx_start < d_in:
         raise DimensionError(f"dx_start must be in [0, {d_in}), got {dx_start}")
-    dqk = np.empty((b, length, 2 * h, d_head), dtype=cache.q.dtype)
-    dq, dk = _split_qk(dqk)
+    cache.spent = True  # from here on the query-key buffer becomes its own gradient
+    q, k = _split_qk(cache.qk)
     for s in cache.chunks():
-        weights = cache.weight_rows(s)
+        weights = cache.weight_rows(s)  # from chunk s's queries and keys, not yet overwritten
         dscores = u[s, :, None, :] - (weights @ u[s, :, :, None])
         dscores *= weights
         del weights  # one chunk's rows alive at a time
         dscores /= np.sqrt(d_head)
-        np.matmul(dscores, cache.k[s], out=dq[s])
-        np.matmul(dscores.swapaxes(-1, -2), cache.q[s], out=dk[s])
-        del dscores
+        dk = dscores.swapaxes(-1, -2) @ q[s]
+        np.matmul(dscores, k[s], out=q[s])
+        k[s] = dk
+        del dscores, dk
+    dqk, cache.qk = cache.qk, None
     x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros((b * length, d_in - dx_start), dtype=x2.dtype)
     for w, heads in ((params.w_q, slice(None, h)), (params.w_k, slice(h, None))):
         w_in = w[:, dx_start:, :].transpose(1, 0, 2).reshape(d_in - dx_start, h * d_head)
         dx2 += dqk[:, :, heads].reshape(b * length, h * d_head) @ w_in.T
     dw_qk = (x2.T @ dqk.reshape(b * length, 2 * h * d_head)).reshape(d_in, 2 * h, d_head).transpose(1, 0, 2)
-    del dqk, dq, dk
+    del dqk, q, k
     dx = dx2.reshape(b, length, d_in - dx_start)
     dx += colsum.swapaxes(1, 2) @ wg[..., dx_start:]
     dw_v = (colsum @ cache.x).transpose(1, 2, 0) @ g_heads

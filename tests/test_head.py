@@ -330,13 +330,14 @@ class TestHeadForward:
 
 def _grads_both_ways(kind, cfg, b, length, seed=0):
     """Parameter gradients of one train-mode pass, with and without the input
-    gradient, and what each backward returned."""
-    model = HeadOnlyClassifier(cfg, kind, Rng(seed))
-    model.set_mode(True)
-    mp = model.forward(Rng(seed + 1).normal((b, length, cfg.d)), Rng(seed + 2))
-    _, dlogits = softmax_cross_entropy(mp.logits, np.arange(b) % cfg.n_classes)
+    gradient, and what each backward returned. A backward consumes its pass,
+    so each one gets its own same-seed model and forward."""
     out = []
     for need in (True, False):
+        model = HeadOnlyClassifier(cfg, kind, Rng(seed))
+        model.set_mode(True)
+        mp = model.forward(Rng(seed + 1).normal((b, length, cfg.d)), Rng(seed + 2))
+        _, dlogits = softmax_cross_entropy(mp.logits, np.arange(b) % cfg.n_classes)
         model.params.zero_grads()
         dh = model.head.backward(mp.head, dlogits, need)
         out.append((dh, {name: p.grad.copy() for name, p in model.params.items()}))
@@ -381,6 +382,7 @@ class TestFrozenInputBackward:
         _, dlogits = softmax_cross_entropy(mp.logits, np.array([0, 1, 1, 0]))
         model.backward(mp, dlogits)
         assert any(p.grad.any() for _, p in model.params.items())
+        mp = model.forward(Rng(1).normal((4, 5, 8)), Rng(2))  # a backward consumes its pass
         with pytest.raises(AssertionError, match="dropout_backward called"):
             model.head.backward(mp.head, dlogits, True)
 
@@ -535,6 +537,7 @@ class TestChunkedWeightRows:
         params = MhaParams.read(store, "head.attn.")
         dpooled = Rng(3).normal(hp.pooled.shape)
         for start in (0, cfg.d):
+            hp = state.forward(h, Rng(2))  # a backward consumes its pass
             out[f"dx_{start}"], grads = mha_mean_backward(params, hp.mha, dpooled, start)
             out.update((f"{n}_{start}", getattr(grads, n)) for n in ("w_q", "w_k", "w_v", "w_o"))
         out["pooled"], out["colsum"] = hp.pooled, hp.mha.colsum
@@ -569,6 +572,24 @@ class TestChunkedWeightRows:
             assert (hp.mha.q is not None) == (hp.mha.k is not None) == one_chunk
             with pytest.raises(ConfigError):
                 state.backward(hp, np.ones_like(hp.logits))
+
+    @pytest.mark.parametrize("per_chunk", [B, 4], ids=["one_chunk", "multi_chunk"])
+    def test_second_backward_is_refused(self, monkeypatch, per_chunk):
+        """A train pass is differentiated once: its backward overwrites the
+        queries and keys. A second backward raises before it adds any
+        gradient."""
+        monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", per_chunk * TOY["n_heads"] * self.L**2)
+        cfg, store, state = build(dropout_rate=0.1)
+        state.set_mode(True)
+        hp = state.forward(Rng(1).normal((self.B, self.L, cfg.d)), Rng(2))
+        _, dlogits = softmax_cross_entropy(hp.logits, np.arange(self.B) % 3)
+        store.zero_grads()
+        state.backward(hp, dlogits)
+        grads = {name: p.grad.copy() for name, p in store.items()}
+        with pytest.raises(ConfigError):
+            state.backward(hp, dlogits)
+        for name, p in store.items():
+            assert np.array_equal(p.grad, grads[name]), name
 
     def test_only_a_one_chunk_batch_keeps_its_rows(self, monkeypatch):
         for per_chunk, kept in ((self.B, True), (4, False)):

@@ -690,6 +690,7 @@ class TestMhaMeanBackward:
             _, cache = mha_mean_forward(params, x)
             dx, grads = mha_mean_backward(params, cache, dpooled)
             for start in (0, 1, d_in - 1):
+                _, cache = mha_mean_forward(params, x)  # a backward consumes its cache
                 part, part_grads = mha_mean_backward(params, cache, dpooled, start)
                 want = dx[..., start:]
                 assert part.shape == want.shape
@@ -699,9 +700,34 @@ class TestMhaMeanBackward:
                     assert np.array_equal(part, dx)
                 for name in ("w_q", "w_k", "w_v", "w_o"):
                     assert np.array_equal(getattr(part_grads, name), getattr(grads, name))
+            _, cache = mha_mean_forward(params, x)
             for start in (-1, d_in):
                 with pytest.raises(DimensionError):
                     mha_mean_backward(params, cache, dpooled, start)
+
+    @pytest.mark.parametrize("one_chunk", [True, False], ids=["one_chunk", "per_example_chunks"])
+    def test_second_backward_is_refused(self, monkeypatch, one_chunk):
+        """The backward overwrites the cache's queries and keys with their
+        gradients and drops them: a second backward on the same cache
+        raises, with a message of its own, and reads no gradient as a query."""
+        import inceptive.layers
+
+        b, length, h = 3, 5, 2
+        if not one_chunk:
+            monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", h * length * length)
+        params, x = _mha_case(Rng(94), b, length, 6, h, 3)
+        dpooled = np.ones((b, 6))
+        _, cache = mha_mean_forward(params, x)
+        assert (len(cache.chunks()) == 1) == one_chunk
+        mha_mean_backward(params, cache, dpooled)
+        assert cache.qk is None and cache.q is None and cache.k is None
+        with pytest.raises(ConfigError) as spent:
+            mha_mean_backward(params, cache, dpooled)
+        monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", h * length * length)
+        _, eval_cache = mha_mean_forward(params, x, train=False)  # several chunks: no queries or keys
+        with pytest.raises(ConfigError) as eval_mode:
+            mha_mean_backward(params, eval_cache, dpooled)
+        assert str(spent.value) != str(eval_mode.value)
 
     def test_matches_finite_differences_through_mean_pool(self):
         rng = Rng(92)
@@ -791,6 +817,8 @@ class TestStackedProjectionOracle:
         del chunk_cache
         dpooled = rng.normal(pooled.shape)
         for dx_start in (0, d):
+            if dx_start:  # a backward consumes its cache
+                _, cache = mha_mean_forward(params, x)
             dx, grads = mha_mean_backward(params, cache, dpooled, dx_start)
             want = _mha_mean_backward_per_weight(params, q, k, x, colsum, dpooled, dx_start)
             for got, ref in zip((dx, grads.w_q, grads.w_k), want):
