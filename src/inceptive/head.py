@@ -417,9 +417,8 @@ def head_backward(
     The parameter gradients are the same either way. They are bitwise the
     same where BLAS rounds the narrower attention product's columns as it
     rounds them in the full-width one; at the desk and paper shapes it does.
-    An eval-mode pass raises ``ConfigError``. So does a second backward of
-    a train pass with attention, before it adds any gradient: the first
-    overwrote the pass's queries and keys with their gradients.
+    An eval-mode pass raises ``ConfigError``, and so does a second backward
+    of a train pass with attention, before it adds any gradient.
     """
     if hp.inception is None:
         raise ConfigError("an eval-mode pass keeps no backward state; run the forward in train mode")

@@ -17,9 +17,8 @@ most ``_SCORE_CHUNK`` score elements (at least one example), its cache
 keeps no ``(B, h, L, L)`` weight rows, so it recomputes them from the
 cached queries and keys, one chunk at a time. Its forward projects those
 by one GEMM against the stacked ``[w_q; w_k]``, per chunk in eval mode.
-It also overwrites its cache, the queries and keys with their gradients,
-so a pooled-attention cache can be differentiated once.
-Each pair is checkable with :func:`inceptive.tensor.grad_check`.
+Its backward writes the query and key gradients over the cached queries
+and keys. Each pair is checkable with :func:`inceptive.tensor.grad_check`.
 
 Every function computes in the dtype it is given, its buffers included;
 float64 is fixed by the callers (see :mod:`inceptive.tensor`).
@@ -553,7 +552,9 @@ class MhaMeanCache:
     one-chunk eval batch keeps it: freeing that buffer after every forward
     made glibc trim the heap top and fault it back in (672 page faults per
     eval forward at the desk shape, against 0). :func:`mha_mean_backward`
-    overwrites ``qk`` with its own gradient, then drops it."""
+    overwrites ``qk`` with its own gradient and drops it, unless the batch
+    is one chunk: dropping it there made each head-only train step at the
+    desk head shape fault 685 pages back in, against 0."""
 
     x: np.ndarray
     colsum: np.ndarray  # (B, h, L), weight-row column sums
@@ -643,10 +644,10 @@ def mha_mean_backward(
     chunk's rows exist. It consumes its cache: each chunk's query and key
     gradients overwrite that chunk's queries and keys in the cache's
     ``(B, L, 2h, d_head)`` buffer (the key gradient via a chunk-sized
-    temporary), so no second buffer of that size exists. One GEMM on it
-    gives both weight gradients; the input gradient stays two products
-    (one rounds differently). The cache then drops the buffer, and a
-    second backward on it raises ``ConfigError``.
+    temporary), so no second buffer of that size exists, and a second
+    backward raises ``ConfigError``. One GEMM on that buffer gives both
+    weight gradients; the input gradient stays two products (one rounds
+    differently).
 
     Only input columns ``dx_start:`` get a gradient: the returned ``dx`` is
     ``B x L x (d_in - dx_start)``, and only those rows of each projection
@@ -681,7 +682,8 @@ def mha_mean_backward(
         np.matmul(dscores, k[s], out=q[s])
         k[s] = dk
         del dscores, dk
-    dqk, cache.qk = cache.qk, None
+    dqk = cache.qk
+    cache.qk = None if len(cache.chunks()) > 1 else dqk  # see MhaMeanCache for the one-chunk case
     x2 = cache.x.reshape(b * length, d_in)
     dx2 = np.zeros((b * length, d_in - dx_start), dtype=x2.dtype)
     for w, heads in ((params.w_q, slice(None, h)), (params.w_k, slice(h, None))):
