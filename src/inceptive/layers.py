@@ -559,12 +559,12 @@ class MhaMeanCache:
     x: np.ndarray
     colsum: np.ndarray  # (B, h, L), weight-row column sums
     merged_mean: np.ndarray  # (B, h * d_head), L-mean of the merged heads
-    qk: np.ndarray | None = None  # None in an eval-mode cache over several chunks, and once differentiated
+    qk: np.ndarray | None = None  # None in an eval-mode or a differentiated cache over several chunks
     rows: np.ndarray | None = None  # (B, h, L, L), kept for a one-chunk batch only
     spent: bool = False  # set by mha_mean_backward
 
-    q = property(lambda self: None if self.qk is None else _split_qk(self.qk)[0])
-    k = property(lambda self: None if self.qk is None else _split_qk(self.qk)[1])
+    q = property(lambda self: None if self.spent or self.qk is None else _split_qk(self.qk)[0])
+    k = property(lambda self: None if self.spent or self.qk is None else _split_qk(self.qk)[1])
 
     def chunks(self) -> list[slice]:
         return _example_chunks(*self.colsum.shape)

@@ -721,7 +721,7 @@ class TestMhaMeanBackward:
         _, cache = mha_mean_forward(params, x)
         assert (len(cache.chunks()) == 1) == one_chunk
         mha_mean_backward(params, cache, dpooled)
-        assert (cache.qk is None) != one_chunk and (cache.q is None) != one_chunk
+        assert (cache.qk is None) != one_chunk and cache.q is None and cache.k is None
         with pytest.raises(ConfigError) as spent:
             mha_mean_backward(params, cache, dpooled)
         monkeypatch.setattr(inceptive.layers, "_SCORE_CHUNK", h * length * length)
